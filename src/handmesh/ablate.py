@@ -9,7 +9,7 @@ import itertools
 import json
 import os
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from . import dataio
 from .config import ExperimentConfig
@@ -50,13 +50,13 @@ def apply_cell(base_cfg, cell):
     """Overlay one grid cell onto the base config; invalid combos raise."""
     cfg = base_cfg
     if "sampler" in cell:
-        cfg = replace(cfg, sampler=SamplerConfig.from_dict(cell["sampler"]))
+        cfg = replace(cfg, sampler=SamplerConfig(**cell["sampler"]))
     if "decoder" in cell:
-        cfg = replace(cfg, decoder=DecoderConfig.from_dict(cell["decoder"]))
+        cfg = replace(cfg, decoder=DecoderConfig(**cell["decoder"]))
     if "mixer" in cell:
-        d = cfg.decoder.to_dict()
+        d = asdict(cfg.decoder)
         d["m"] = [cell["mixer"]] * d["k"]
-        cfg = replace(cfg, decoder=DecoderConfig.from_dict(d))
+        cfg = replace(cfg, decoder=DecoderConfig(**d))
     if "use_pos_emb" in cell:
         cfg = replace(cfg, use_pos_emb=bool(cell["use_pos_emb"]))
     return cfg
@@ -98,7 +98,7 @@ def run_ablation(base_cfg, grid, out_csv, seeds=(0, 1, 2), eval_count=500, log=p
                                  repr(report["mpjpe_mm"]), repr(report["mpvpe_mm"]),
                                  repr(report["f_at_05"]), repr(report["f_at_15"]),
                                  params_nb, f"{steps_per_sec:.4f}", cfg.total_steps,
-                                 json.dumps(cfg.to_dict(), sort_keys=True)])
+                                 json.dumps(asdict(cfg), sort_keys=True)])
                 fh.flush()
                 log(f"cell {cid} seed {seed}: PA-MPVPE {report['pa_mpvpe_mm']:.3f} mm "
                     f"({steps_per_sec:.2f} steps/s)")

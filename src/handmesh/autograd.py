@@ -428,7 +428,10 @@ def _im2col(x, kh, kw, stride, padding):
 
 
 def _col2im(dcol, x_shape, kh, kw, stride, padding, ho, wo):
-    """Adjoint of _im2col: scatter column gradients back onto the input."""
+    """Adjoint of _im2col: scatter-add columns back onto a (B, C, H, W) map.
+
+    Serves conv2d's input gradient and conv_transpose2d's forward.
+    """
     b, c, h, w = x_shape
     hp, wp = h + 2 * padding, w + 2 * padding
     dxp = np.zeros((b, c, hp, wp), dtype=dcol.dtype)
@@ -477,20 +480,13 @@ def conv2d(x, w, b=None, stride=1, padding=0):
     return out
 
 
-def _stuff(x, stride):
-    """Insert stride-1 zeros between samples along both spatial axes."""
-    b, c, h, w = x.shape
-    y = np.zeros((b, c, (h - 1) * stride + 1, (w - 1) * stride + 1), dtype=x.dtype)
-    y[:, :, ::stride, ::stride] = x
-    return y
-
-
 def conv_transpose2d(x, w, b=None, stride=2, padding=1):
     """Adjoint of conv2d: x (B,Cin,H,W), w (Cin,Cout,kh,kw) -> (B,Cout,s*H,s*W).
 
     Geometry is restricted to exact integer upsampling (k - 2p == s).
-    Equivalent to conv2d over the zero-stuffed input, which is how the
-    backward pass is derived.
+    The forward is conv2d's input gradient (col2im of wmat.T @ x) and the
+    input gradient is conv2d's forward (wmat @ im2col), with w read in
+    conv2d's (Cout, Cin, kh, kw) layout from the output map back to x.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ValueError(f"conv_transpose2d expects 4D input/weight, got {x.shape} and {w.shape}")
@@ -504,30 +500,24 @@ def conv_transpose2d(x, w, b=None, stride=2, padding=1):
             f"conv_transpose2d: kernel {kh}x{kw} pad {padding} stride {stride} "
             "does not give exact stride-fold upsampling (need square k with k - 2p == s)"
         )
-    # correlate the zero-stuffed input with the flipped, channel-swapped kernel
-    wflip = np.ascontiguousarray(w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-    xs = _stuff(x.data, stride)
-    col, ho, wo = _im2col(xs, kh, kw, 1, kh - 1 - padding)
-    wmat = wflip.reshape(cout, -1)
-    y = wmat @ col
+    bsz, _, h, wd = x.shape
+    out_shape = (bsz, cout, h * stride, wd * stride)
+    wmat = w.data.reshape(cin, -1)
+    xmat = x.data.reshape(bsz, cin, h * wd)
+    y = _col2im(wmat.T @ xmat, out_shape, kh, kw, stride, padding, h, wd)
     if b is not None:
-        y = y + b.data[:, None]
-    out = Tensor(
-        y.reshape(x.shape[0], cout, ho, wo),
-        requires_grad=_wants_grad(x, w) or (b is not None and _wants_grad(b)),
-    )
+        y = y + b.data[:, None, None]
+    out = Tensor(y, requires_grad=_wants_grad(x, w) or (b is not None and _wants_grad(b)))
 
     def backward_fn(g):
-        gmat = g.reshape(x.shape[0], cout, ho * wo)
         if b is not None:
-            _accum(b, gmat.sum(axis=(0, 2)))
+            _accum(b, g.sum(axis=(0, 2, 3)))
+        col, _, _ = _im2col(g, kh, kw, stride, padding)
         if w.requires_grad:
-            dwflip = np.matmul(gmat, col.transpose(0, 2, 1)).sum(axis=0).reshape(wflip.shape)
-            _accum(w, np.ascontiguousarray(dwflip.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]))
+            dw = np.matmul(xmat, col.transpose(0, 2, 1)).sum(axis=0)
+            _accum(w, dw.reshape(w.shape))
         if x.requires_grad:
-            dcol = wmat.T @ gmat
-            dxs = _col2im(dcol, xs.shape, kh, kw, 1, kh - 1 - padding, ho, wo)
-            _accum(x, np.ascontiguousarray(dxs[:, :, ::stride, ::stride]))
+            _accum(x, (wmat @ col).reshape(x.shape))
 
     _record(out, backward_fn)
     return out

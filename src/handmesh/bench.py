@@ -5,18 +5,23 @@ import time
 import numpy as np
 
 from .autograd import Tensor
-from .model import INPUT_CHANNELS
-from .rng import substream
+from .dataio import sample_seed
+from .synth import build_assets, generate_sample
 from .train import build_model
 
 
 def run_bench(cfg, iters=50, warmup=5, batch_size=1):
-    """Time bare forward passes on one fixed input; report parameter split."""
+    """Time bare forward passes on one fixed input; report parameter split.
+
+    The input is the dataset's first `batch_size` rendered samples for
+    cfg.seed: their subnormal values cost time that random input hides.
+    """
     if iters < 10:
         raise ValueError(f"need at least 10 timed iterations, got {iters}")
     model = build_model(cfg)
-    img = Tensor(substream(cfg.seed, "bench-input")
-                 .normal(size=(batch_size, INPUT_CHANNELS, 224, 224)).astype(np.float32))
+    assets = build_assets()
+    img = Tensor(np.stack([generate_sample(assets, sample_seed(cfg.seed, i)).input
+                           for i in range(batch_size)]).astype(np.float32))
     for _ in range(warmup):
         model(img)
     times = np.empty(iters)

@@ -25,8 +25,7 @@ def _build_parser():
     g = sub.add_parser("gen-data", help="write a synthetic dataset")
     g.add_argument("--out", required=True, help="output directory")
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--count", "--steps", dest="count", type=int, required=True,
-                   help="number of samples")
+    g.add_argument("--count", type=int, required=True, help="number of samples")
 
     t = sub.add_parser("train", help="train a model from a config")
     t.add_argument("--config", help="experiment config JSON (defaults used if omitted)")

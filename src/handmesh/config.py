@@ -1,7 +1,7 @@
 """One JSON-serializable config drives a full train/eval/bench run."""
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .losses import LossWeights
 from .regressor import DecoderConfig, paper_decoder_config
@@ -32,32 +32,18 @@ class ExperimentConfig:
         if self.batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
 
-    def to_dict(self):
-        return {
-            "sampler": self.sampler.to_dict(),
-            "decoder": self.decoder.to_dict(),
-            "loss_weights": self.loss_weights.to_dict(),
-            "lr": self.lr,
-            "weight_decay": self.weight_decay,
-            "total_steps": self.total_steps,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-            "use_pos_emb": self.use_pos_emb,
-            "dataset": self.dataset,
-            "out_dir": self.out_dir,
-        }
-
     @classmethod
     def from_dict(cls, d):
+        """Inverse of dataclasses.asdict; missing nested sections take their defaults."""
         d = dict(d)
-        d["sampler"] = SamplerConfig.from_dict(d.get("sampler", SamplerConfig().to_dict()))
-        d["decoder"] = DecoderConfig.from_dict(d.get("decoder", paper_decoder_config().to_dict()))
-        d["loss_weights"] = LossWeights.from_dict(d.get("loss_weights", LossWeights().to_dict()))
+        d["sampler"] = SamplerConfig(**d.get("sampler", {}))
+        d["decoder"] = DecoderConfig(**d.get("decoder", {}))
+        d["loss_weights"] = LossWeights(**d.get("loss_weights", {}))
         return cls(**d)
 
     def save(self, path):
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
+            json.dump(asdict(self), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
     @classmethod

@@ -75,6 +75,7 @@ def reaggregate_csv(path):
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
-        assert tuple(header[1:]) == METRIC_COLUMNS
+        if tuple(header[1:]) != METRIC_COLUMNS:
+            raise ValueError(f"{path}: metric columns {header[1:]} are not {list(METRIC_COLUMNS)}")
         rows = [(int(r[0]),) + tuple(float(v) for v in r[1:]) for r in reader]
     return aggregate_rows(rows)

@@ -62,13 +62,6 @@ class LossWeights:
         if min(self.w_3d, self.w_2d, self.w_vert) <= 0:
             raise ValueError(f"loss weights must be positive, got {self}")
 
-    def to_dict(self):
-        return {"w_3d": self.w_3d, "w_2d": self.w_2d, "w_vert": self.w_vert}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
-
 
 @dataclass
 class LossBreakdown:

@@ -58,14 +58,6 @@ class DecoderConfig:
         except KeyError:
             raise ValueError(f"unknown mixer {name!r}, expected one of {MIXERS}") from None
 
-    def to_dict(self):
-        return {"k": self.k, "n": list(self.n), "d": list(self.d),
-                "m": list(self.m), "c": list(self.c), "heads": self.heads}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
-
 
 def paper_decoder_config():
     """The best-practice three-layer attention cascade."""
@@ -132,10 +124,14 @@ class MeshRegressor(Module):
             token_trace.append(x.shape[1])
             channel_trace.append(x.shape[2])
         vertices = self.head(x)
-        assert token_trace == [self.n0] + list(self.cfg.d), \
-            f"token trace {token_trace} diverged from schedule {[self.n0] + list(self.cfg.d)}"
-        assert channel_trace == [self.c_in] + list(self.cfg.c), \
-            f"channel trace {channel_trace} diverged from {[self.c_in] + list(self.cfg.c)}"
-        assert vertices.shape[1:] == (NUM_VERTICES, 3)
-        assert np.isfinite(vertices.data).all(), "non-finite vertex output"
+        want_tokens = [self.n0] + list(self.cfg.d)
+        if token_trace != want_tokens:
+            raise RuntimeError(f"token trace {token_trace} diverged from schedule {want_tokens}")
+        want_channels = [self.c_in] + list(self.cfg.c)
+        if channel_trace != want_channels:
+            raise RuntimeError(f"channel trace {channel_trace} diverged from {want_channels}")
+        if vertices.shape[1:] != (NUM_VERTICES, 3):
+            raise RuntimeError(f"vertex output {vertices.shape} is not (B, {NUM_VERTICES}, 3)")
+        if not np.isfinite(vertices.data).all():
+            raise FloatingPointError("non-finite vertex output")
         return MeshOutput(vertices=vertices, token_trace=token_trace, channel_trace=channel_trace)

@@ -54,17 +54,6 @@ class SamplerConfig:
         if self.variant == "keypoint_enhanced" and self.upsample_scheme != "4x-with-extra-convs":
             raise ValueError("keypoint_enhanced requires the 4x-with-extra-convs scheme")
 
-    def to_dict(self):
-        return {
-            "variant": self.variant,
-            "target_resolution": self.target_resolution,
-            "upsample_scheme": self.upsample_scheme,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
-
 
 def expected_tokens(cfg):
     if cfg.variant == "global":
@@ -241,8 +230,10 @@ def sample_tokens(feat, cfg, kp_coords=None, coarse_coords=None, image_size=224)
         coords_f = feature_coords_from_image(coarse_coords, image_size / w)
         tokens = ag.bilinear_sample(feat, coords_f)
     n = expected_tokens(cfg)
-    assert tokens.shape == (b, n, c), f"token count law violated: {tokens.shape} vs N={n}"
-    assert np.isfinite(tokens.data).all(), "non-finite token values"
+    if tokens.shape != (b, n, c):
+        raise RuntimeError(f"token count law violated: {tokens.shape} vs N={n}")
+    if not np.isfinite(tokens.data).all():
+        raise FloatingPointError("non-finite token values")
     return TokenSet(tokens=tokens, variant=cfg.variant)
 
 

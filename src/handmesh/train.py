@@ -7,7 +7,7 @@ seed through named substreams, so a (config, seed) pair pins the run.
 import csv
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -53,7 +53,7 @@ def build_model(cfg, dtype=np.float32):
 
 def _dump_abort(cfg, step, idxs, breakdown=None, reason="non-finite loss"):
     dump = {"step": step, "indices": [int(i) for i in idxs], "reason": reason,
-            "breakdown": breakdown, "config": cfg.to_dict()}
+            "breakdown": breakdown, "config": asdict(cfg)}
     path = os.path.join(cfg.out_dir, "nan_dump.json")
     with open(path, "w") as dh:
         json.dump(dump, dh, indent=2)
@@ -88,7 +88,7 @@ def train(cfg):
                     out = model(Tensor(batch["input"]))
                     bd = total_loss(out.vertices, batch["V_3d"], out.keypoints_2d,
                                     batch["J_2d"], assets.J, cfg.loss_weights)
-                except (AssertionError, FloatingPointError) as err:
+                except FloatingPointError as err:
                     # a non-finite intermediate tripped a forward check
                     _dump_abort(cfg, step, idxs, reason=str(err))
                 if not np.isfinite(bd.total):

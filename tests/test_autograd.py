@@ -308,24 +308,26 @@ class TestConvTranspose2d:
         with pytest.raises(ValueError):
             ag.conv_transpose2d(x, w, stride=stride, padding=p)
 
-    def test_adjoint_of_conv2d(self):
+    @pytest.mark.parametrize("stride,k,p", [(2, 4, 1), (4, 8, 2)])
+    def test_adjoint_of_conv2d(self, stride, k, p):
         # <conv(x), y> == <x, tconv(y)> with the same weight tensor
         rng = np.random.default_rng(17)
-        x = rng.standard_normal((2, 3, 6, 6))
-        w = rng.standard_normal((4, 3, 4, 4))  # conv layout (Cout, Cin, k, k)
+        x = rng.standard_normal((2, 3, 3 * stride, 3 * stride))
+        w = rng.standard_normal((4, 3, k, k))  # conv layout (Cout, Cin, k, k)
         y = rng.standard_normal((2, 4, 3, 3))
-        cx = ag.conv2d(Tensor(x), Tensor(w), stride=2, padding=1).data
-        ty = ag.conv_transpose2d(Tensor(y), Tensor(w), stride=2, padding=1).data
+        cx = ag.conv2d(Tensor(x), Tensor(w), stride=stride, padding=p).data
+        ty = ag.conv_transpose2d(Tensor(y), Tensor(w), stride=stride, padding=p).data
         assert abs(np.vdot(cx, y) - np.vdot(x, ty)) < 1e-10
 
-    def test_gradcheck(self):
+    @pytest.mark.parametrize("stride,k,p", [(2, 4, 1), (4, 8, 2)])
+    def test_gradcheck(self, stride, k, p):
         rng = np.random.default_rng(18)
-        x = Tensor(rng.standard_normal((1, 2, 4, 4)), requires_grad=True)
-        w = Tensor(rng.standard_normal((2, 3, 4, 4)), requires_grad=True)
+        x = Tensor(rng.standard_normal((2, 2, 4, 4)), requires_grad=True)
+        w = Tensor(rng.standard_normal((2, 3, k, k)), requires_grad=True)
         b = Tensor(rng.standard_normal(3), requires_grad=True)
 
         def fn(x, w, b):
-            return ag.mean(ag.abs_(ag.conv_transpose2d(x, w, b, stride=2, padding=1)))
+            return ag.mean(ag.abs_(ag.conv_transpose2d(x, w, b, stride=stride, padding=p)))
 
         assert fd_gradcheck(fn, [x, w, b], rng=rng) < 1e-4
 

@@ -1,5 +1,7 @@
 """Loss suite: joint regression, elementwise-mean L1, weighted combination."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -150,7 +152,7 @@ class TestLossWeights:
 
     def test_dict_round_trip(self):
         w = LossWeights(2.0, 3.0, 4.0)
-        assert LossWeights.from_dict(w.to_dict()) == w
+        assert LossWeights(**asdict(w)) == w
 
 
 class TestTotalLoss:

@@ -1,8 +1,14 @@
 """Mesh regressor: config validation, layer algebra, cascade invariants."""
 
+import os
+import subprocess
+import sys
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
+import handmesh
 from handmesh import autograd as ag
 from handmesh.autograd import Tape, Tensor
 from handmesh.nn import MetaformerBlock, SelfAttention
@@ -53,9 +59,9 @@ def zero_params(module):
 class TestDecoderConfig:
     def test_paper_config_round_trips_exact_json_form(self):
         cfg = paper_decoder_config()
-        assert cfg.to_dict() == {"k": 3, "n": [1, 1, 1], "d": [84, 336, 778],
-                                 "m": ["attn", "attn", "attn"], "c": [256, 128, 64], "heads": 4}
-        assert DecoderConfig.from_dict(cfg.to_dict()) == cfg
+        assert asdict(cfg) == {"k": 3, "n": [1, 1, 1], "d": [84, 336, 778],
+                               "m": ["attn", "attn", "attn"], "c": [256, 128, 64], "heads": 4}
+        assert DecoderConfig(**asdict(cfg)) == cfg
 
     def test_attention_alias_canonicalized(self):
         cfg = DecoderConfig(k=1, n=[1], d=[778], m=["attention"], c=[64], heads=4)
@@ -230,6 +236,27 @@ class TestMeshRegressor:
         zero_params(reg)
         out = reg(Tensor(np.zeros((1, 21, 64))))
         assert np.all(out.vertices.data == 0.0)
+
+    def test_nan_guard_survives_optimized_mode(self):
+        # `python -O` strips assert statements; the non-finite check must still raise
+        script = (
+            "import numpy as np\n"
+            "from handmesh.autograd import Tensor\n"
+            "from handmesh.model import HandMeshModel\n"
+            "model = HandMeshModel()\n"
+            "model.regressor.head.weight.data[...] = np.nan\n"
+            "try:\n"
+            "    model(Tensor(np.zeros((1, 22, 224, 224), dtype=np.float32)))\n"
+            "except Exception as err:\n"
+            "    print(type(err).__name__)\n"
+            "else:\n"
+            "    print('no error')\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(handmesh.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        assert done.stdout.strip() == "FloatingPointError"
 
     def test_wrong_token_count_rejected(self):
         reg = MeshRegressor(paper_decoder_config(), 21, 64, substream(33, "reg"))

@@ -1,5 +1,7 @@
 """Token generator: config law, upsampling schemes, soft-argmax, sampling."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -93,7 +95,7 @@ class TestSamplerConfig:
 
     def test_dict_round_trip(self):
         cfg = SamplerConfig("keypoint_enhanced", 28, "4x-with-extra-convs")
-        assert SamplerConfig.from_dict(cfg.to_dict()) == cfg
+        assert SamplerConfig(**asdict(cfg)) == cfg
 
 
 # --- backbone ----------------------------------------------------------

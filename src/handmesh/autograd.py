@@ -410,10 +410,22 @@ def _im2col(x, kh, kw, stride, padding):
 
     Channels-first column layout so wmat @ col yields (B, Cout, Ho*Wo),
     which reshapes to the output tensor without another copy.
+
+    With padding > 0 the input is read with subnormals as zero
+    (denormals-are-zero): values below the dtype's smallest normal are
+    zeroed in the fresh padded copy, one sample at a time. Rendered
+    inputs are ~14% float32 subnormals, and every GEMM or elementwise op
+    that touches one takes a slow microcode assist, which roughly halves
+    batch-1 forward throughput; numpy cannot set the CPU's DAZ flag. The
+    caller's array and a p=0 `col` (possibly a read-only view of it) are
+    never written.
     """
     b, c, h, w = x.shape
     if padding:
         x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        tiny = np.finfo(x.dtype).tiny
+        for xb in x:
+            np.putmask(xb, (xb < tiny) & (xb > -tiny), 0)
     hp, wp = x.shape[2], x.shape[3]
     if kh > hp or kw > wp:
         raise ValueError(

@@ -14,7 +14,7 @@ def run_bench(cfg, iters=50, warmup=5, batch_size=1):
     """Time bare forward passes on one fixed input; report parameter split.
 
     The input is the dataset's first `batch_size` rendered samples for
-    cfg.seed: their subnormal values cost time that random input hides.
+    cfg.seed, because rendered samples are what the model really reads.
     """
     if iters < 10:
         raise ValueError(f"need at least 10 timed iterations, got {iters}")

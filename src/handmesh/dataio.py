@@ -37,11 +37,20 @@ def write_record(path, tensors, meta=None, force_dtype=None):
         blob = arr.tobytes()
         blobs.append(blob)
         offset += len(blob)
-    with open(path, "wb") as f:
-        f.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        f.write(b"\n")
-        for blob in blobs:
-            f.write(blob)
+    # write beside the target, then rename over it: a crash mid-write
+    # leaves the previous file intact
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(json.dumps(header, sort_keys=True).encode("utf-8"))
+            f.write(b"\n")
+            for blob in blobs:
+                f.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def read_record(path):
@@ -52,14 +61,21 @@ def read_record(path):
     header = json.loads(header_line.decode("utf-8"))
     if header.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported record format version in {path}")
-    out = {}
+    entries = {}
+    need = 0
     for name, entry in header["tensors"].items():
         dt = np.dtype(entry["dtype"])
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        arr = np.frombuffer(payload, dtype=dt, count=count, offset=start).reshape(shape)
-        out[name] = arr.copy()
+        entries[name] = (dt, shape, count, entry["offset"])
+        need = max(need, entry["offset"] + count * dt.itemsize)
+    if len(payload) < need:
+        raise ValueError(
+            f"truncated record {path}: payload is {len(payload)} bytes, header needs {need}"
+        )
+    out = {}
+    for name, (dt, shape, count, start) in entries.items():
+        out[name] = np.frombuffer(payload, dtype=dt, count=count, offset=start).reshape(shape).copy()
     return out, header.get("meta", {})
 
 

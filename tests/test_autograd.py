@@ -271,6 +271,87 @@ class TestConv2d:
         assert fd_gradcheck(fn, [x, w, b], rng=rng) < 1e-4
 
 
+class TestConvReadsSubnormalsAsZero:
+    """Padded convs read float32 subnormals as zero; nothing else moves."""
+
+    @staticmethod
+    def _with_subnormals(shape, seed):
+        # channel 0 and the two left columns hold only subnormals, so the
+        # outputs and weight gradients that read nothing else would show
+        # them; elsewhere a normal value would round them away
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(shape).astype(np.float32)
+        mask = rng.random(shape) < 0.2
+        mask[:, 0] = True
+        mask[..., :2] = True
+        x[mask] = np.float32(1e-40) * rng.choice(np.array([-1, 1], dtype=np.float32), size=int(mask.sum()))
+        zeroed = np.where(mask, np.float32(0), x)
+        return x, zeroed
+
+    @staticmethod
+    def _fwd_bwd(x, w, b, padding):
+        xt = Tensor(x, requires_grad=True)
+        wt = Tensor(w, requires_grad=True)
+        bt = Tensor(b, requires_grad=True)
+        r = np.random.default_rng(40).standard_normal((2, 4, 6, 6)).astype(np.float32)
+        with Tape() as tape:
+            y = ag.conv2d(xt, wt, bt, stride=1, padding=padding)
+            tape.backward(ag.sum_(ag.mul(y, Tensor(r))))
+        return xt, y.data, wt.grad, bt.grad
+
+    def test_padded_conv_matches_zeroed_input_bit_for_bit(self):
+        x, zeroed = self._with_subnormals((2, 3, 6, 6), 41)
+        rng = np.random.default_rng(42)
+        w = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
+        b = np.zeros(4, np.float32)
+        _, y, dw, db = self._fwd_bwd(x, w, b, padding=1)
+        _, y0, dw0, db0 = self._fwd_bwd(zeroed, w, b, padding=1)
+        assert y.tobytes() == y0.tobytes()
+        assert dw.tobytes() == dw0.tobytes()
+        assert db.tobytes() == db0.tobytes()
+
+    @pytest.mark.parametrize("k,padding", [(1, 0), (3, 1)])
+    def test_caller_input_never_written(self, k, padding):
+        x, _ = self._with_subnormals((2, 3, 6, 6), 43)
+        before = x.tobytes()
+        rng = np.random.default_rng(44)
+        w = rng.standard_normal((4, 3, k, k)).astype(np.float32)
+        xt, _, _, _ = self._fwd_bwd(x, w, np.zeros(4, np.float32), padding=padding)
+        assert xt.data.tobytes() == before
+
+    def test_float64_subnormal_range_is_kept(self):
+        x = np.zeros((1, 1, 4, 4))
+        x[0, 0, 1, 2] = 1e-40  # normal in float64
+        w = np.ones((1, 1, 3, 3))
+        y = ag.conv2d(Tensor(x), Tensor(w), padding=1).data
+        y0 = ag.conv2d(Tensor(np.zeros_like(x)), Tensor(w), padding=1).data
+        assert not np.array_equal(y, y0)
+        assert y.max() == 1e-40
+
+    def test_paper_model_builds_no_subnormal_padded_columns(self, monkeypatch):
+        from handmesh.config import ExperimentConfig
+        from handmesh.dataio import sample_seed
+        from handmesh.synth import build_assets, generate_sample
+        from handmesh.train import build_model
+
+        tiny = np.finfo(np.float32).tiny
+        img = generate_sample(build_assets(), sample_seed(0, 0)).input.astype(np.float32)
+        assert ((img != 0) & (np.abs(img) < tiny)).any()
+        padded_calls = []
+        im2col = ag._im2col
+
+        def checked(x, kh, kw, stride, padding):
+            col, ho, wo = im2col(x, kh, kw, stride, padding)
+            if padding > 0:
+                padded_calls.append(int(((col != 0) & (np.abs(col) < tiny)).sum()))
+            return col, ho, wo
+
+        monkeypatch.setattr(ag, "_im2col", checked)
+        build_model(ExperimentConfig())(Tensor(img[None]))
+        assert len(padded_calls) >= 5  # one per backbone stage
+        assert padded_calls == [0] * len(padded_calls)
+
+
 # ---------------------------------------------------------------------------
 # conv_transpose2d
 # ---------------------------------------------------------------------------

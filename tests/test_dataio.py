@@ -44,6 +44,45 @@ class TestRecordContainer:
         with pytest.raises(ValueError):
             dataio.read_record(path)
 
+    def test_truncated_payload_names_path_and_sizes(self, tmp_path):
+        path = tmp_path / "rec.bin"
+        dataio.write_record(path, {"a": np.arange(6, dtype=np.float32), "b": np.ones(3)})
+        data = path.read_bytes()
+        path.write_bytes(data[:-1])
+        payload = len(data) - len(data.split(b"\n", 1)[0]) - 1
+        with pytest.raises(ValueError) as err:
+            dataio.read_record(path)
+        msg = str(err.value)
+        assert str(path) in msg
+        assert f"{payload - 1} bytes" in msg and f"needs {payload}" in msg
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "rec.bin"
+        dataio.write_record(path, {"a": np.arange(4, dtype=np.float32)}, meta={"v": 1})
+        before = path.read_bytes()
+
+        class FailingFile:
+            def __init__(self, f):
+                self.f, self.writes = f, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 3:
+                    raise OSError("disk full")
+                self.f.write(data)
+
+        monkeypatch.setattr(dataio, "open", lambda p, mode: FailingFile(open(p, mode)), raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            dataio.write_record(path, {"a": np.zeros(8, dtype=np.float32), "b": np.ones(2)}, meta={"v": 2})
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["rec.bin"]
+
 
 class TestDatasetDirectory:
     def test_generation_is_byte_identical(self, tmp_path, assets):

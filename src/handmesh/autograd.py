@@ -8,6 +8,14 @@ the record in reverse execution order.
 
 Outside a `with Tape():` block nothing is recorded, which doubles as
 inference mode.
+
+Convolutions build no column matrix. The padded input is folded
+space-to-depth, so a stride-s conv becomes a stride-1 conv with ceil(k/s)
+taps per axis, and each tap is one GEMM on a strided view of one sample's
+fold. Three helpers (forward, input gradient, weight gradient) serve
+conv2d and, as its adjoint, conv_transpose2d. Padded folds read float32
+subnormals as zero, and each GEMM scales one operand by an exact power of
+two so that products of tiny normal values stay normal (see _pow2).
 """
 
 import numpy as np
@@ -405,88 +413,219 @@ def layer_norm(x, gamma, beta, eps=1e-5):
 # convolution family
 # ---------------------------------------------------------------------------
 
-def _im2col(x, kh, kw, stride, padding):
-    """(B, C, H, W) -> column matrix (B, C*kh*kw, Ho*Wo) plus output geometry.
+def _phases(n, q, stride, padding):
+    """Per phase i < s: the fold slots r (padded index r*s + i) that hold
+    input, and the input indices they hold; slots on the padding are left out."""
+    out = []
+    for i in range(stride):
+        r0 = max(0, -((i - padding) // stride))
+        src = r0 * stride + i - padding
+        cnt = max(0, min(q - r0, -((src - n) // stride)))
+        out.append((slice(r0, r0 + cnt), slice(src, src + stride * cnt, stride)))
+    return out
 
-    Channels-first column layout so wmat @ col yields (B, Cout, Ho*Wo),
-    which reshapes to the output tensor without another copy.
 
-    With padding > 0 the input is read with subnormals as zero
-    (denormals-are-zero): values below the dtype's smallest normal are
-    zeroed in the fresh padded copy, one sample at a time. Rendered
-    inputs are ~14% float32 subnormals, and every GEMM or elementwise op
-    that touches one takes a slow microcode assist, which roughly halves
-    batch-1 forward throughput; numpy cannot set the CPU's DAZ flag. The
-    caller's array and a p=0 `col` (possibly a read-only view of it) are
-    never written.
+def _geometry(h, w, kh, kw, stride, padding):
+    """Fold geometry of a conv over an (h, w) map: (ho, wo, hq, wq, offs, n, phases).
+
+    Each axis has kq = ceil(k/s) taps and q = o + kq - 1 fold positions for
+    o outputs. Tap (u, v) reads the flat (hq*wq) fold from column
+    u*wq + v on, over n = (ho-1)*wq + wo columns. phases pairs each fold
+    phase (i, j) with the input pixels it holds.
     """
-    b, c, h, w = x.shape
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-        tiny = np.finfo(x.dtype).tiny
-        for xb in x:
-            np.putmask(xb, (xb < tiny) & (xb > -tiny), 0)
-    hp, wp = x.shape[2], x.shape[3]
-    if kh > hp or kw > wp:
+    if kh > h + 2 * padding or kw > w + 2 * padding:
         raise ValueError(
-            f"conv2d: kernel {kh}x{kw} larger than padded input {hp}x{wp}"
+            f"conv2d: kernel {kh}x{kw} larger than padded input {h + 2 * padding}x{w + 2 * padding}"
         )
-    ho = (hp - kh) // stride + 1
-    wo = (wp - kw) // stride + 1
-    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]  # (B, C, Ho, Wo, kh, kw)
-    col = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(b, c * kh * kw, ho * wo)
-    return col, ho, wo
+    kqh, kqw = -(-kh // stride), -(-kw // stride)
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (w + 2 * padding - kw) // stride + 1
+    hq, wq = ho + kqh - 1, wo + kqw - 1
+    offs = [u * wq + v for u in range(kqh) for v in range(kqw)]
+    rows, cols = _phases(h, hq, stride, padding), _phases(w, wq, stride, padding)
+    phases = [(i, j, fr, fc, xr, xc) for i, (fr, xr) in enumerate(rows) for j, (fc, xc) in enumerate(cols)]
+    return ho, wo, hq, wq, offs, (ho - 1) * wq + wo, phases
 
 
-def _col2im(dcol, x_shape, kh, kw, stride, padding, ho, wo):
-    """Adjoint of _im2col: scatter-add columns back onto a (B, C, H, W) map.
+def _fold_weight(w, stride):
+    """(Cout, C, kh, kw) -> taps (kqh*kqw, Cout, C*s*s), zero-padded to whole taps."""
+    cout, c, kh, kw = w.shape
+    kqh, kqw = -(-kh // stride), -(-kw // stride)
+    wp = np.zeros((cout, c, kqh * stride, kqw * stride), w.dtype)
+    wp[:, :, :kh, :kw] = w
+    wp = wp.reshape(cout, c, kqh, stride, kqw, stride).transpose(2, 4, 0, 1, 3, 5)
+    return wp.reshape(kqh * kqw, cout, c * stride * stride)
 
-    Serves conv2d's input gradient and conv_transpose2d's forward.
+
+def _unfold_weight(wt, w_shape, stride):
+    """Inverse of _fold_weight."""
+    cout, c, kh, kw = w_shape
+    kqh, kqw = -(-kh // stride), -(-kw // stride)
+    w = wt.reshape(kqh, kqw, cout, c, stride, stride).transpose(2, 3, 0, 4, 1, 5)
+    return w.reshape(cout, c, kqh * stride, kqw * stride)[:, :, :kh, :kw]
+
+
+def _pow2(fixed, scaled, terms, dtype):
+    """Exponent k >= 0 by which one GEMM operand is scaled, as 2**k.
+
+    `fixed` and `scaled` bound the two operands' magnitudes and `terms` is
+    the number of products summed into one output. k is the largest value
+    for which every scaled product and partial sum stays below
+    2**(maxexp - 1), the scaled operand stays finite, and 2**-k is normal.
+    Multiplying by a power of two is exact while the value stays normal, so
+    the scaled GEMM times 2**-k is bit-identical to the unscaled one whenever
+    the unscaled one never left the normal range; otherwise products of tiny
+    normal values (heatmap tails times 1e-3 weights) stay normal instead of
+    turning subnormal, each of which would take a microcode assist.
     """
-    b, c, h, w = x_shape
-    hp, wp = h + 2 * padding, w + 2 * padding
-    dxp = np.zeros((b, c, hp, wp), dtype=dcol.dtype)
-    dcol = dcol.reshape(b, c, kh, kw, ho, wo)
-    for u in range(kh):
-        for v in range(kw):
-            dxp[:, :, u : u + ho * stride : stride, v : v + wo * stride : stride] += dcol[:, :, u, v]
-    if padding:
-        return dxp[:, :, padding : hp - padding, padding : wp - padding]
-    return dxp
+    fi = np.finfo(dtype)
+    ef, es = int(np.frexp(fixed)[1]), int(np.frexp(scaled)[1])  # |v| < 2**e
+    head = max(ef + (terms - 1).bit_length(), 0)
+    return max(0, min(-fi.minexp, fi.maxexp - 1 - es - head))
+
+
+def _pad_cols(gb, wq, scale):
+    """(Cout, ho, wo) -> (Cout, ho*wq) times `scale`, zero in the junk columns."""
+    cout, ho, wo = gb.shape
+    gq = np.zeros((cout, ho, wq), gb.dtype)
+    np.multiply(gb, scale, out=gq[:, :, :wo])
+    return gq.reshape(cout, ho * wq)
+
+
+def _folds(x, geom, stride, padding):
+    """Yield each sample of x (B, C, H, W) folded to (C*s*s, hq*wq), with its max |v|.
+
+    Fold channel (c, i, j) at (r, t) holds padded pixel (c, r*s + i, t*s + j).
+    With stride 1 and no padding the fold is a view of the sample; otherwise
+    it is a fresh copy, and with padding > 0 that copy reads float32
+    subnormals as zero (denormals-are-zero): values below the dtype's
+    smallest normal are zeroed. About 14% of the nonzero values of rendered
+    inputs are float32 subnormals, every op that touches one takes a slow
+    microcode assist, and numpy cannot set the CPU's DAZ flag. The flush and
+    the max share one reused scratch buffer. The caller's array is never
+    written, and float64 (tiny 2.2e-308) keeps its range.
+    """
+    _, c, h, w = x.shape
+    hq, wq, phases = geom[2], geom[3], geom[6]
+    if stride == 1 and padding == 0:
+        for xb in x:
+            yield xb.reshape(c, h * w), max(xb.max(), -xb.min())
+        return
+    tiny = np.finfo(x.dtype).tiny
+    mag = np.empty((c * stride * stride, hq * wq), x.dtype)
+    small = np.empty(mag.shape, bool)
+    for xb in x:
+        xf = np.zeros((c, stride, stride, hq, wq), x.dtype)
+        for i, j, fr, fc, xr, xc in phases:
+            xf[:, i, j, fr, fc] = xb[:, xr, xc]
+        xf = xf.reshape(mag.shape)
+        np.abs(xf, out=mag)
+        if padding:
+            np.less(mag, tiny, out=small)
+            np.copyto(xf, 0, where=small)
+        yield xf, mag.max()
+
+
+def _conv_fwd(folds, wt, geom, bsz):
+    """Stride-1 conv of folded samples with taps wt (T, Cout, Cf) -> (B, Cout, ho, wo).
+
+    Tap t adds wt[t] @ fold[:, offs[t]:offs[t] + n] into a (Cout, ho*wq)
+    accumulator, whose wq - wo junk columns per row are dropped. Each
+    sample scales the taps by its own 2**k.
+    """
+    ho, wo, _, wq, offs, n, _ = geom
+    cout, one = wt.shape[1], wt.dtype.type(1)
+    aw = np.abs(wt).max()
+    y = np.empty((bsz, cout, ho, wo), wt.dtype)
+    acc = np.empty((cout, ho * wq), wt.dtype)
+    tmp = np.empty((cout, n), wt.dtype)
+    for yb, (xf, ax) in zip(y, folds):
+        k = _pow2(ax, aw, wt.shape[0] * wt.shape[2], wt.dtype)
+        acc.fill(0)
+        for off, ws in zip(offs, wt * np.ldexp(one, k)):
+            np.matmul(ws, xf[:, off : off + n], out=tmp)
+            acc[:, :n] += tmp
+        np.multiply(acc.reshape(cout, ho, wq)[:, :, :wo], np.ldexp(one, -k), out=yb)
+    return y
+
+
+def _conv_dx(g, wt, geom, x_shape, stride):
+    """Adjoint of _conv_fwd and the fold: g (B, Cout, ho, wo) -> (B, C, H, W).
+
+    Each sample scales g by its own 2**k; input pixels no window reads get zero.
+    """
+    _, _, hq, wq, offs, n, phases = geom
+    c, one = x_shape[1], wt.dtype.type(1)
+    aw = np.abs(wt).max()
+    dx = np.zeros(x_shape, wt.dtype)
+    dxf = np.empty((wt.shape[2], hq * wq), wt.dtype)
+    dxf5 = dxf.reshape(c, stride, stride, hq, wq)
+    tmp = np.empty((wt.shape[2], n), wt.dtype)
+    for gb, dxb in zip(g, dx):
+        k = _pow2(aw, max(gb.max(), -gb.min()), wt.shape[0] * wt.shape[1], wt.dtype)
+        gq = _pad_cols(gb, wq, np.ldexp(one, k))[:, :n]
+        dxf.fill(0)
+        for off, w_t in zip(offs, wt):
+            np.matmul(w_t.T, gq, out=tmp)
+            dxf[:, off : off + n] += tmp
+        for i, j, fr, fc, xr, xc in phases:
+            np.multiply(dxf5[:, i, j, fr, fc], np.ldexp(one, -k), out=dxb[:, xr, xc])
+    return dx
+
+
+def _conv_dw(folds, g, geom, w_shape, stride):
+    """Weight gradient sum_b g_b fold_b^T per tap, unfolded to w_shape.
+
+    g is scaled by one 2**k for the whole batch, so the sum over samples
+    accumulates in the scaled range and is unscaled once.
+    """
+    _, _, _, wq, offs, n, _ = geom
+    dtype = np.result_type(g, folds[0][0])
+    one = dtype.type(1)
+    k = _pow2(max(a for _, a in folds), max(g.max(), -g.min()), len(folds) * n, dtype)
+    # (Cf, n) @ (n, Cout) ran ~25% faster than (Cout, n) @ (n, Cf) on stage 0's shapes
+    dwt = np.zeros((len(offs), folds[0][0].shape[0], g.shape[1]), dtype)
+    tmp = np.empty(dwt.shape[1:], dtype)
+    for gb, (xf, _) in zip(g, folds):
+        gqt = _pad_cols(gb, wq, np.ldexp(one, k))[:, :n].T
+        for off, dw_t in zip(offs, dwt):
+            np.matmul(xf[:, off : off + n], gqt, out=tmp)
+            dw_t += tmp
+    dwt *= np.ldexp(one, -k)
+    return _unfold_weight(dwt.transpose(0, 2, 1), w_shape, stride)
 
 
 def conv2d(x, w, b=None, stride=1, padding=0):
-    """Cross-correlation (no kernel flip): x (B,Cin,H,W), w (Cout,Cin,kh,kw)."""
+    """Cross-correlation (no kernel flip): x (B,Cin,H,W), w (Cout,Cin,kh,kw).
+
+    Runs as _conv_fwd over _folds of x; backward keeps the folds for the
+    weight gradient (_conv_dw) only when w wants one, and the input
+    gradient is _conv_dx.
+    """
     if x.ndim != 4 or w.ndim != 4:
         raise ValueError(f"conv2d expects 4D input/weight, got {x.shape} and {w.shape}")
     if x.shape[1] != w.shape[1]:
         raise ValueError(f"conv2d: channel mismatch, input {x.shape} vs weight {w.shape}")
     if stride < 1:
         raise ValueError(f"conv2d: stride must be >= 1, got {stride}")
-    cout, _, kh, kw = w.shape
-    col, ho, wo = _im2col(x.data, kh, kw, stride, padding)
-    wmat = w.data.reshape(cout, -1)
-    y = wmat @ col
+    geom = _geometry(*x.shape[2:], *w.shape[2:], stride, padding)
+    wt = _fold_weight(w.data, stride).astype(np.result_type(x.data, w.data), copy=False)
+    requires_grad = _wants_grad(x, w) or (b is not None and _wants_grad(b))
+    folds = _folds(x.data, geom, stride, padding)
+    if requires_grad and w.requires_grad:
+        folds = list(folds)
+    y = _conv_fwd(folds, wt, geom, x.shape[0])
     if b is not None:
-        y = y + b.data[:, None]
-    out = Tensor(
-        y.reshape(x.shape[0], cout, ho, wo),
-        requires_grad=_wants_grad(x, w) or (b is not None and _wants_grad(b)),
-    )
+        y += b.data[:, None, None]
+    out = Tensor(y, requires_grad=requires_grad)
 
     def backward_fn(g):
-        gmat = g.reshape(x.shape[0], cout, ho * wo)
         if b is not None:
-            _accum(b, gmat.sum(axis=(0, 2)))
+            _accum(b, g.sum(axis=(0, 2, 3)))
         if w.requires_grad:
-            # batched GEMM against the transposed column view beats tensordot
-            # here by ~5x (no contiguous repack of the 100MB column matrix)
-            dw = np.matmul(gmat, col.transpose(0, 2, 1)).sum(axis=0)
-            _accum(w, dw.reshape(w.shape))
+            _accum(w, _conv_dw(folds, g, geom, w.shape, stride))
         if x.requires_grad:
-            dcol = wmat.T @ gmat
-            _accum(x, _col2im(dcol, x.shape, kh, kw, stride, padding, ho, wo))
+            _accum(x, _conv_dx(g, wt, geom, x.shape, stride))
 
     _record(out, backward_fn)
     return out
@@ -495,16 +634,17 @@ def conv2d(x, w, b=None, stride=1, padding=0):
 def conv_transpose2d(x, w, b=None, stride=2, padding=1):
     """Adjoint of conv2d: x (B,Cin,H,W), w (Cin,Cout,kh,kw) -> (B,Cout,s*H,s*W).
 
-    Geometry is restricted to exact integer upsampling (k - 2p == s).
-    The forward is conv2d's input gradient (col2im of wmat.T @ x) and the
-    input gradient is conv2d's forward (wmat @ im2col), with w read in
-    conv2d's (Cout, Cin, kh, kw) layout from the output map back to x.
+    Geometry is restricted to exact integer upsampling (k - 2p == s). With
+    w read in conv2d's (Cout, Cin, kh, kw) layout from the output map back
+    to x, the forward is conv2d's input gradient (_conv_dx), the input
+    gradient is conv2d's forward over the fold of g (_conv_fwd), and the
+    weight gradient is conv2d's with x in the role of g.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ValueError(f"conv_transpose2d expects 4D input/weight, got {x.shape} and {w.shape}")
     if x.shape[1] != w.shape[0]:
         raise ValueError(f"conv_transpose2d: channel mismatch, input {x.shape} vs weight {w.shape}")
-    cin, cout, kh, kw = w.shape
+    _, cout, kh, kw = w.shape
     if stride not in (2, 4):
         raise ValueError(f"conv_transpose2d: stride must be 2 or 4, got {stride}")
     if kh != kw or kh - 2 * padding != stride:
@@ -514,22 +654,22 @@ def conv_transpose2d(x, w, b=None, stride=2, padding=1):
         )
     bsz, _, h, wd = x.shape
     out_shape = (bsz, cout, h * stride, wd * stride)
-    wmat = w.data.reshape(cin, -1)
-    xmat = x.data.reshape(bsz, cin, h * wd)
-    y = _col2im(wmat.T @ xmat, out_shape, kh, kw, stride, padding, h, wd)
+    geom = _geometry(*out_shape[2:], kh, kw, stride, padding)
+    wt = _fold_weight(w.data, stride).astype(np.result_type(x.data, w.data), copy=False)
+    y = _conv_dx(x.data, wt, geom, out_shape, stride)
     if b is not None:
-        y = y + b.data[:, None, None]
+        y += b.data[:, None, None]
     out = Tensor(y, requires_grad=_wants_grad(x, w) or (b is not None and _wants_grad(b)))
 
     def backward_fn(g):
         if b is not None:
             _accum(b, g.sum(axis=(0, 2, 3)))
-        col, _, _ = _im2col(g, kh, kw, stride, padding)
+        folds = _folds(g, geom, stride, padding)
         if w.requires_grad:
-            dw = np.matmul(xmat, col.transpose(0, 2, 1)).sum(axis=0)
-            _accum(w, dw.reshape(w.shape))
+            folds = list(folds)
+            _accum(w, _conv_dw(folds, x.data, geom, w.shape, stride))
         if x.requires_grad:
-            _accum(x, (wmat @ col).reshape(x.shape))
+            _accum(x, _conv_fwd(folds, wt, geom, bsz))
 
     _record(out, backward_fn)
     return out

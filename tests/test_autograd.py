@@ -244,10 +244,16 @@ class TestConv2d:
         y = ag.conv2d(Tensor(x), Tensor(w), stride=1, padding=1).data
         assert np.array_equal(y[0, 0, 2:5, 2:5], w[0, 0, ::-1, ::-1])
 
-    @pytest.mark.parametrize("stride,padding,k", [(1, 0, 3), (2, 1, 3), (1, 1, 3), (2, 0, 2), (1, 0, 1)])
-    def test_matches_loop_oracle(self, stride, padding, k):
+    @pytest.mark.parametrize(
+        "stride,padding,k,hw",
+        [(1, 0, 3, (8, 8)), (2, 1, 3, (8, 8)), (1, 1, 3, (8, 8)), (2, 0, 2, (8, 8)), (1, 0, 1, (8, 8)),
+         (4, 2, 8, (8, 8)), (2, 1, 3, (8, 6)), (4, 2, 8, (8, 6))],
+        ids=["1-0-3", "2-1-3", "1-1-3", "2-0-2", "1-0-1", "4-2-8", "2-1-3-8x6", "4-2-8-8x6"],
+    )
+    def test_matches_loop_oracle(self, stride, padding, k, hw):
+        # the 8x6 inputs give different fold heights and widths (hq != wq)
         rng = np.random.default_rng(12)
-        x = rng.standard_normal((2, 3, 8, 8))
+        x = rng.standard_normal((2, 3, *hw))
         w = rng.standard_normal((4, 3, k, k))
         b = rng.standard_normal(4)
         got = ag.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding).data
@@ -269,6 +275,66 @@ class TestConv2d:
             return ag.mean(ag.abs_(ag.conv2d(x, w, b, stride=2, padding=1)))
 
         assert fd_gradcheck(fn, [x, w, b], rng=rng) < 1e-4
+
+    def test_stage0_forward_peaks_below_twice_its_input(self):
+        # a column matrix would take k*k/(s*s) = 4x the input on its own
+        import tracemalloc
+
+        rng = np.random.default_rng(19)
+        x = Tensor(rng.random((4, 22, 224, 224), dtype=np.float32))
+        w = Tensor(rng.standard_normal((24, 22, 4, 4)).astype(np.float32), requires_grad=True)
+        b = Tensor(np.zeros(24, np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            with Tape():
+                ag.conv2d(x, w, b, stride=2, padding=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * x.data.nbytes
+
+
+class TestConvPowerOfTwoScaling:
+    """Scaling the input or the upstream gradient by 2**e scales each conv
+    result by exactly 2**e: tiny normal inputs keep full float32 precision
+    and huge ones stay finite."""
+
+    @staticmethod
+    def _run(conv, x, w, r, stride, padding):
+        xt = Tensor(x, requires_grad=True)
+        wt = Tensor(w, requires_grad=True)
+        with Tape() as tape:
+            y = conv(xt, wt, stride=stride, padding=padding)
+            tape.backward(ag.sum_(ag.mul(y, Tensor(r))))
+        return y.data, wt.grad, xt.grad
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("e", [-120, 100])
+    @pytest.mark.parametrize("transposed", [False, True], ids=["conv2d", "conv_transpose2d"])
+    def test_results_scale_exactly(self, transposed, e):
+        rng = np.random.default_rng(47)
+
+        def signed(lo, hi, shape):
+            return (rng.uniform(lo, hi, shape) * rng.choice([-1, 1], shape)).astype(np.float32)
+
+        if transposed:
+            conv, x_shape, w_shape, y_shape = ag.conv_transpose2d, (2, 4, 5, 5), (4, 3, 4, 4), (2, 3, 10, 10)
+        else:
+            conv, x_shape, w_shape, y_shape = ag.conv2d, (2, 3, 10, 10), (4, 3, 4, 4), (2, 4, 5, 5)
+        x = rng.uniform(0.5, 1.0, x_shape).astype(np.float32)
+        w = signed(1e-3, 1e-2, w_shape)
+        r_small = signed(1e-3, 1e-2, y_shape)  # an upstream gradient the size of the weights
+        r_unit = signed(0.5, 1.0, y_shape)  # stays normal when scaled by 2**-120
+        s = np.float32(2.0**e)
+        y, dw, _ = self._run(conv, x, w, r_small, 2, 1)
+        ys, dws, _ = self._run(conv, x * s, w, r_small, 2, 1)
+        _, dw1, dx = self._run(conv, x, w, r_unit, 2, 1)
+        _, dw1s, dxs = self._run(conv, x, w, r_unit * s, 2, 1)
+        cases = {"forward": (ys, y), "weight gradient": (dws, dw),
+                 "input gradient": (dxs, dx), "weight gradient, scaled g": (dw1s, dw1)}
+        for name, (got, base) in cases.items():
+            assert np.isfinite(got).all(), name
+            assert got.tobytes() == (base * s).tobytes(), name
 
 
 class TestConvReadsSubnormalsAsZero:
@@ -338,15 +404,15 @@ class TestConvReadsSubnormalsAsZero:
         img = generate_sample(build_assets(), sample_seed(0, 0)).input.astype(np.float32)
         assert ((img != 0) & (np.abs(img) < tiny)).any()
         padded_calls = []
-        im2col = ag._im2col
+        folds = ag._folds
 
-        def checked(x, kh, kw, stride, padding):
-            col, ho, wo = im2col(x, kh, kw, stride, padding)
-            if padding > 0:
-                padded_calls.append(int(((col != 0) & (np.abs(col) < tiny)).sum()))
-            return col, ho, wo
+        def checked(x, geom, stride, padding):
+            for xf, amax in folds(x, geom, stride, padding):  # one sample: B == 1
+                if padding > 0:
+                    padded_calls.append(int(((xf != 0) & (np.abs(xf) < tiny)).sum()))
+                yield xf, amax
 
-        monkeypatch.setattr(ag, "_im2col", checked)
+        monkeypatch.setattr(ag, "_folds", checked)
         build_model(ExperimentConfig())(Tensor(img[None]))
         assert len(padded_calls) >= 5  # one per backbone stage
         assert padded_calls == [0] * len(padded_calls)

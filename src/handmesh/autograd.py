@@ -1,10 +1,10 @@
 """Dense tensors with reverse-mode gradients on an explicit tape.
 
 Everything the decoder differentiates through lives here: elementwise
-arithmetic, matmul, softmax, layer norm, conv2d / transposed conv2d and
-bilinear point sampling. Forward math is plain numpy; each primitive
-records a backward closure on the active Tape, and Tape.backward replays
-the record in reverse execution order.
+arithmetic, matmul, softmax, multi-head attention, layer norm, conv2d /
+transposed conv2d and bilinear point sampling. Forward math is plain
+numpy; each primitive records a backward closure on the active Tape, and
+Tape.backward replays the record in reverse execution order.
 
 Outside a `with Tape():` block nothing is recorded, which doubles as
 inference mode.
@@ -375,6 +375,67 @@ def softmax(x, axis=-1):
 
     def backward_fn(g):
         _accum(x, y * (g - (g * y).sum(axis=axis, keepdims=True)))
+
+    _record(out, backward_fn)
+    return out
+
+
+def attention(qkv, heads):
+    """Multi-head softmax(q k^T / sqrt(dh)) v: qkv (B, N, 3C) -> (B, N, C).
+
+    The last axis of qkv holds q, k and v side by side, each split into
+    `heads` blocks of dh = C / heads channels. Each (sample, head) runs on
+    strided views of qkv: q k^T goes into one (N, N) block, which is
+    scaled, max-shifted, exponentiated and normalised in place, so no
+    (B, heads, N, N) temporary is ever made. Under a Tape the blocks are
+    kept as the probabilities P for backward; without one a single
+    (N, N) scratch block is reused.
+    """
+    if qkv.ndim != 3:
+        raise ValueError(f"attention expects (B, N, 3C) input, got {qkv.shape}")
+    if heads < 1 or qkv.shape[-1] % (3 * heads):
+        raise ValueError(f"attention: last axis {qkv.shape[-1]} is not divisible by 3 * {heads} heads")
+    bsz, n, c3 = qkv.shape
+    c = c3 // 3
+    dh = c // heads
+    scale = qkv.dtype.type(1.0 / np.sqrt(dh))
+    x = qkv.data.reshape(bsz, n, 3, heads, dh)
+    requires_grad = _wants_grad(qkv)
+    probs = np.empty((bsz, heads, n, n), x.dtype) if requires_grad else None
+    scratch = None if requires_grad else np.empty((n, n), x.dtype)
+    y = np.empty((bsz, n, heads, dh), x.dtype)
+    for bi in range(bsz):
+        for hi in range(heads):
+            q, k, v = x[bi, :, :, hi].transpose(1, 0, 2)
+            p = probs[bi, hi] if requires_grad else scratch
+            np.matmul(q, k.T, out=p)
+            p *= scale
+            p -= p.max(axis=1, keepdims=True)
+            np.exp(p, out=p)
+            p /= p.sum(axis=1, keepdims=True)
+            np.matmul(p, v, out=y[bi, :, hi])
+    out = Tensor(y.reshape(bsz, n, c), requires_grad=requires_grad)
+
+    def backward_fn(g):
+        g = g.reshape(bsz, n, heads, dh)
+        gx = np.empty_like(x)
+        dp = np.empty((n, n), x.dtype)
+        # rowsum(P * dP) = rowsum(dy * y), an (N, dh) product in place of an (N, N) one
+        rowsum = (g * y).sum(axis=-1)
+        for bi in range(bsz):
+            for hi in range(heads):
+                q, k, v = x[bi, :, :, hi].transpose(1, 0, 2)
+                gq, gk, gv = gx[bi, :, :, hi].transpose(1, 0, 2)
+                gy = g[bi, :, hi]
+                p = probs[bi, hi]
+                np.matmul(p.T, gy, out=gv)
+                np.matmul(gy, v.T, out=dp)
+                dp -= rowsum[bi, :, hi, None]
+                dp *= p
+                dp *= scale
+                np.matmul(dp, k, out=gq)
+                np.matmul(dp.T, q, out=gk)
+        _accum(qkv, gx.reshape(qkv.shape))
 
     _record(out, backward_fn)
     return out

@@ -145,18 +145,7 @@ class SelfAttention(Module):
         self.heads = heads
 
     def __call__(self, x):
-        b, n, c = x.shape
-        h = self.heads
-        dh = c // h
-        qkv = self.qkv(x)
-        qkv = ag.reshape(qkv, (b, n, 3, h, dh))
-        qkv = ag.transpose(qkv, (2, 0, 3, 1, 4))  # (3, B, h, N, dh)
-        q, k, v = qkv[0], qkv[1], qkv[2]
-        att = ag.matmul(q, ag.transpose(k, (0, 1, 3, 2)))
-        att = ag.softmax(ag.mul(att, 1.0 / np.sqrt(dh)), axis=-1)
-        y = ag.matmul(att, v)  # (B, h, N, dh)
-        y = ag.reshape(ag.transpose(y, (0, 2, 1, 3)), (b, n, c))
-        return self.proj(y)
+        return self.proj(ag.attention(self.qkv(x), self.heads))
 
 
 class MetaformerBlock(Module):

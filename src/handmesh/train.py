@@ -94,6 +94,9 @@ def train(cfg):
                 if not np.isfinite(bd.total):
                     _dump_abort(cfg, step, idxs, breakdown=bd.to_dict())
                 tape.backward(bd.total_node)
+            # the tape alone holds the activations, their gradients and the
+            # attention probabilities: free them before the optimizer step
+            del tape, out, batch
             opt.lr = lr_at_step(cfg.lr, step, cfg.total_steps)
             opt.step()
             writer.writerow([step, repr(bd.L_vert), repr(bd.L_J3d), repr(bd.L_J2d),

@@ -1,4 +1,5 @@
-"""Shared test utilities: central finite-difference gradient checking."""
+"""Shared test utilities: central finite-difference gradient checking and
+the composed multi-head attention reference."""
 
 import numpy as np
 
@@ -41,3 +42,18 @@ def fd_gradcheck(fn, tensors, step=1e-5, rng=None, max_checks=64):
             rel = abs(analytic[idx] - fd) / max(1.0, abs(fd))
             worst = max(worst, rel)
     return worst
+
+
+def attention_composed(qkv, heads):
+    """Multi-head attention built from reshape/transpose/getitem/matmul/softmax
+    tape primitives: the reference for the fused `ag.attention`."""
+    b, n, c3 = qkv.shape
+    c = c3 // 3
+    dh = c // heads
+    qkv = ag.reshape(qkv, (b, n, 3, heads, dh))
+    qkv = ag.transpose(qkv, (2, 0, 3, 1, 4))  # (3, B, heads, N, dh)
+    q, k, v = qkv[0], qkv[1], qkv[2]
+    att = ag.matmul(q, ag.transpose(k, (0, 1, 3, 2)))
+    att = ag.softmax(ag.mul(att, 1.0 / np.sqrt(dh)), axis=-1)
+    y = ag.matmul(att, v)  # (B, heads, N, dh)
+    return ag.reshape(ag.transpose(y, (0, 2, 1, 3)), (b, n, c))

@@ -5,8 +5,9 @@ import pytest
 
 from handmesh import autograd as ag
 from handmesh.autograd import Tape, Tensor
+from handmesh.nn import SelfAttention
 
-from helpers import fd_gradcheck
+from helpers import attention_composed, fd_gradcheck
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +177,70 @@ class TestSoftmax:
             return ag.sum_(ag.mul(ag.softmax(x, axis=-1), c))
 
         assert fd_gradcheck(fn, [x, c]) < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# attention
+# ---------------------------------------------------------------------------
+
+class TestAttention:
+    @pytest.mark.parametrize("n", [1, 5])
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_gradcheck(self, heads, n):
+        rng = np.random.default_rng(40 + heads + n)
+        qkv = Tensor(rng.standard_normal((3, n, 3 * 2 * heads)), requires_grad=True)
+        c = Tensor(rng.standard_normal((3, n, 2 * heads)))
+
+        def fn(qkv, c):
+            return ag.sum_(ag.mul(ag.attention(qkv, heads), c))
+
+        assert fd_gradcheck(fn, [qkv, c], rng=rng) < 1e-8
+
+    @pytest.mark.parametrize("b,n,c,heads", [(4, 336, 64, 4), (4, 84, 128, 4)])
+    def test_float32_matches_composition(self, b, n, c, heads):
+        # the decoder's layer-2 and layer-1 shapes, at qkv's Affine scale
+        rng = np.random.default_rng(46)
+        qkv0 = (rng.standard_normal((b, n, 3 * c)) * 0.6).astype(np.float32)
+        g = Tensor(rng.standard_normal((b, n, c)).astype(np.float32))
+        results = []
+        for attn in (ag.attention, attention_composed):
+            qkv = Tensor(qkv0.copy(), requires_grad=True)
+            with Tape() as tape:
+                y = attn(qkv, heads)
+                tape.backward(ag.sum_(ag.mul(y, g)))
+            results.append((y.data, qkv.grad))
+        (y, gq), (y_ref, gq_ref) = results
+        assert y.dtype == gq.dtype == np.float32
+        assert np.abs(y - y_ref).max() / np.abs(y_ref).max() < 1e-6
+        assert np.abs(gq - gq_ref).max() / np.abs(gq_ref).max() < 1e-6
+
+    @pytest.mark.parametrize("shape,heads", [((6, 12), 2), ((2, 3, 4, 12), 2), ((2, 3, 12), 3), ((2, 3, 12), 0)])
+    def test_bad_shape_rejected(self, shape, heads):
+        with pytest.raises(ValueError):
+            ag.attention(Tensor(np.zeros(shape)), heads)
+
+    def test_no_tape_forward_peaks_below_one_score_tensor(self):
+        # the composed form held (B, heads, N, N) scores several times over
+        import tracemalloc
+
+        b, n, c, heads = 16, 336, 64, 4
+        attn = SelfAttention(c, heads, np.random.default_rng(47))
+        x = Tensor(np.random.default_rng(48).standard_normal((b, n, c)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            attn(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < b * heads * n * n * 4
+
+    def test_taped_self_attention_records_five_nodes(self):
+        # qkv matmul + bias, one attention node, proj matmul + bias
+        attn = SelfAttention(8, 2, np.random.default_rng(49))
+        x = Tensor(np.random.default_rng(50).standard_normal((2, 5, 8)).astype(np.float32))
+        with Tape() as tape:
+            attn(x)
+        assert len(tape) == 5
 
 
 # ---------------------------------------------------------------------------

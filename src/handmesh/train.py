@@ -94,8 +94,9 @@ def train(cfg):
                 if not np.isfinite(bd.total):
                     _dump_abort(cfg, step, idxs, breakdown=bd.to_dict())
                 tape.backward(bd.total_node)
-            # the tape alone holds the activations, their gradients and the
-            # attention probabilities: free them before the optimizer step
+            # the tape holds the activations, their gradients and the attention
+            # probabilities; free them, the output and the input batch before
+            # the optimizer step and the next batch read
             del tape, out, batch
             opt.lr = lr_at_step(cfg.lr, step, cfg.total_steps)
             opt.step()

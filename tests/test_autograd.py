@@ -214,7 +214,11 @@ class TestAttention:
         assert np.abs(y - y_ref).max() / np.abs(y_ref).max() < 1e-6
         assert np.abs(gq - gq_ref).max() / np.abs(gq_ref).max() < 1e-6
 
-    @pytest.mark.parametrize("shape,heads", [((6, 12), 2), ((2, 3, 4, 12), 2), ((2, 3, 12), 3), ((2, 3, 12), 0)])
+    @pytest.mark.parametrize(
+        "shape,heads",
+        [((6, 12), 2), ((2, 3, 4, 12), 2), ((2, 3, 12), 3), ((2, 3, 12), 0)],
+        ids=["2d", "4d", "12-by-3x3", "zero-heads"],
+    )
     def test_bad_shape_rejected(self, shape, heads):
         with pytest.raises(ValueError):
             ag.attention(Tensor(np.zeros(shape)), heads)

@@ -5,8 +5,8 @@ import time
 import numpy as np
 
 from .autograd import Tensor
-from .dataio import sample_seed
-from .synth import build_assets, generate_sample
+from .dataio import render_batch
+from .synth import build_assets
 from .train import build_model
 
 
@@ -19,9 +19,7 @@ def run_bench(cfg, iters=50, warmup=5, batch_size=1):
     if iters < 10:
         raise ValueError(f"need at least 10 timed iterations, got {iters}")
     model = build_model(cfg)
-    assets = build_assets()
-    img = Tensor(np.stack([generate_sample(assets, sample_seed(cfg.seed, i)).input
-                           for i in range(batch_size)]).astype(np.float32))
+    img = Tensor(render_batch(build_assets(), cfg.seed, range(batch_size))["input"])
     for _ in range(warmup):
         model(img)
     times = np.empty(iters)

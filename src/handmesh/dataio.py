@@ -1,10 +1,11 @@
-"""On-disk tensor containers: dataset records, manifests, checkpoints.
+"""Datasets as manifests rendered on read, and the tensor records of checkpoints.
 
-A record file is one JSON header line followed by raw little-endian
-tensor bytes; the header maps each tensor name to (offset, shape, dtype)
-within the payload. Dataset tensors are stored as 32-bit floats;
-checkpoints keep each parameter's own dtype so a save/load round trip is
-bit-exact.
+A dataset directory holds only `manifest.json`: sample i is a pure function
+of `sample_seed(manifest seed, i)`, rendered whenever it is read and cast to
+32-bit floats. A record file is one JSON header line followed by raw
+little-endian tensor bytes; the header maps each tensor name to (offset,
+shape, dtype) within the payload. Each tensor keeps its own dtype, so a
+checkpoint save/load round trip is bit-exact.
 """
 
 import json
@@ -12,16 +13,13 @@ import os
 
 import numpy as np
 
-from .rng import substream
-from .synth import HandSample, build_assets, generate_sample
+from .synth import IMAGE_SIZE, NUM_JOINTS, HandSample, build_assets, generate_sample
 
 FORMAT_VERSION = 1
 
-DATASET_TENSORS = ("input", "V_3d", "J_3d", "J_2d", "camera")
 
-
-def write_record(path, tensors, meta=None, force_dtype=None):
-    """Serialize named arrays; force_dtype casts every tensor (e.g. '<f4')."""
+def write_record(path, tensors, meta=None):
+    """Serialize named arrays, each in its own dtype stored little-endian."""
     header = {"format_version": FORMAT_VERSION, "tensors": {}}
     if meta:
         header["meta"] = meta
@@ -29,8 +27,6 @@ def write_record(path, tensors, meta=None, force_dtype=None):
     offset = 0
     for name, arr in tensors.items():
         arr = np.ascontiguousarray(arr)
-        if force_dtype is not None:
-            arr = arr.astype(force_dtype)
         dt = arr.dtype.newbyteorder("<")
         arr = arr.astype(dt, copy=False)
         header["tensors"][name] = {"offset": offset, "shape": list(arr.shape), "dtype": dt.str}
@@ -79,16 +75,19 @@ def read_record(path):
     return out, header.get("meta", {})
 
 
-def _record_name(i):
-    return f"sample_{i:06d}.bin"
-
-
 def sample_seed(dataset_seed, index):
     """Per-sample seed derived from the dataset seed, stable across runs."""
     return int(np.random.SeedSequence(entropy=int(dataset_seed), spawn_key=(int(index),)).generate_state(1)[0])
 
 
-def write_manifest(out_dir, count, seed):
+def generate_dataset(out_dir, count, seed, assets=None):
+    """Write the dataset's only file, its manifest; byte-identical per (count, seed).
+
+    Samples are rendered when read, so `assets` is not used.
+    """
+    if count < 1:
+        raise ValueError(f"dataset count must be >= 1, got {count}")
+    os.makedirs(out_dir, exist_ok=True)
     manifest = {
         "count": int(count),
         "seed": int(seed),
@@ -104,66 +103,54 @@ def write_manifest(out_dir, count, seed):
 
 
 def read_manifest(dataset_dir):
-    with open(os.path.join(dataset_dir, "manifest.json")) as f:
-        return json.load(f)
+    """The manifest of a dataset directory, checked for a usable count and seed."""
+    path = os.path.join(dataset_dir, "manifest.json")
+    with open(path) as f:
+        manifest = json.load(f)
+    for key, least in (("count", 1), ("seed", 0)):
+        value = manifest.get(key)
+        # JSON integers load as int; the exact type check also refuses bool
+        if type(value) is not int or value < least:
+            raise ValueError(f"{path}: {key} must be an integer >= {least}, got {value!r}")
+    return manifest
 
 
-def generate_dataset(out_dir, count, seed, assets=None):
-    """Write count samples plus a manifest; byte-identical per (count, seed)."""
-    if count < 1:
-        raise ValueError(f"dataset count must be >= 1, got {count}")
-    os.makedirs(out_dir, exist_ok=True)
-    if assets is None:
-        assets = build_assets()
-    for i in range(count):
-        s = generate_sample(assets, sample_seed(seed, i))
-        write_record(
-            os.path.join(out_dir, _record_name(i)),
-            {name: getattr(s, name) for name in DATASET_TENSORS},
-            meta={"seed": s.seed, "index": i},
-            force_dtype="<f4",
-        )
-    return write_manifest(out_dir, count, seed)
+def render_batch(assets, seed, indices):
+    """Samples `indices` of the dataset with this seed, stacked as float32;
+    each input is rendered straight into its row of one (B, 22, 224, 224) array."""
+    inputs = np.empty((len(indices), NUM_JOINTS + 1, IMAGE_SIZE, IMAGE_SIZE), np.float32)
+    samples = [generate_sample(assets, sample_seed(seed, i), out=row)
+               for i, row in zip(indices, inputs)]
+    return {"input": inputs, **{name: np.array([getattr(s, name) for s in samples], np.float32)
+                                for name in ("V_3d", "J_3d", "J_2d", "camera")}}
 
 
 class Dataset:
-    """Lazy reader over a generated dataset directory."""
+    """Samples of a dataset directory, rendered from its manifest on read."""
 
     def __init__(self, dataset_dir):
-        self.dir = dataset_dir
         self.manifest = read_manifest(dataset_dir)
-        self.count = int(self.manifest["count"])
+        self.count = self.manifest["count"]
+        self.seed = self.manifest["seed"]
+        self.assets = build_assets()
 
     def __len__(self):
         return self.count
 
     def __getitem__(self, i):
-        if not 0 <= i < self.count:
-            raise IndexError(i)
-        tensors, meta = read_record(os.path.join(self.dir, _record_name(i)))
-        return HandSample(
-            input=tensors["input"],
-            V_3d=tensors["V_3d"],
-            J_3d=tensors["J_3d"],
-            J_2d=tensors["J_2d"],
-            camera=tensors["camera"],
-            seed=int(meta.get("seed", -1)),
-        )
+        rows = {name: arr[0] for name, arr in self.batch([i]).items()}
+        return HandSample(**rows, seed=sample_seed(self.seed, i))
 
     def batch(self, indices):
-        samples = [self[int(i)] for i in indices]
-        return {
-            "input": np.stack([s.input for s in samples]),
-            "V_3d": np.stack([s.V_3d for s in samples]),
-            "J_3d": np.stack([s.J_3d for s in samples]),
-            "J_2d": np.stack([s.J_2d for s in samples]),
-            "camera": np.stack([s.camera for s in samples]),
-        }
+        indices = [int(i) for i in indices]
+        if not all(0 <= i < self.count for i in indices):
+            raise IndexError(f"indices {indices} out of range for {self.count} samples")
+        return render_batch(self.assets, self.seed, indices)
 
 
 def save_checkpoint(path, state, meta=None):
     """state: name -> ndarray; dtypes are preserved bit-exactly."""
-    write_record(path, state, meta=meta, force_dtype=None)
+    write_record(path, state, meta=meta)
 
 
 def load_checkpoint(path):

@@ -319,34 +319,34 @@ def fit_camera(V, rng, size=IMAGE_SIZE, safe=8.0):
     return np.array([s, t[0] + shift[0], t[1] + shift[1]])
 
 
-def render_input(J_2d, V_2d, size=IMAGE_SIZE, sigma=HEATMAP_SIGMA):
+def render_input(J_2d, V_2d, size=IMAGE_SIZE, sigma=HEATMAP_SIGMA, out=None):
     """22 channels in [0, 1]: 21 unit-peak Gaussian heatmaps at the 2D
-    joints plus one soft silhouette from binned projected vertices."""
+    joints plus one soft silhouette from binned projected vertices. Values
+    are computed in float64, then cast into every element of `out` if given."""
+    if out is None:
+        out = np.empty((NUM_JOINTS + 1, size, size))
     grid = np.arange(size, dtype=np.float64)
-    out = np.zeros((NUM_JOINTS + 1, size, size))
-    for j in range(NUM_JOINTS):
-        u, v = J_2d[j]
-        gx = np.exp(-0.5 * ((grid - u) / sigma) ** 2)
-        gy = np.exp(-0.5 * ((grid - v) / sigma) ** 2)
-        out[j] = gy[:, None] * gx[None, :]
+    gx = np.exp(-0.5 * ((grid - J_2d[:, 0:1]) / sigma) ** 2)
+    gy = np.exp(-0.5 * ((grid - J_2d[:, 1:2]) / sigma) ** 2)
+    np.multiply(gy[:, :, None], gx[:, None, :], out=out[:NUM_JOINTS])
     counts = np.zeros((size, size))
     ix = np.clip(V_2d[:, 0].round().astype(int), 0, size - 1)
     iy = np.clip(V_2d[:, 1].round().astype(int), 0, size - 1)
     np.add.at(counts, (iy, ix), 1.0)
     blur = gaussian_filter(counts, sigma=3.0)
     peak = blur.max()
-    if peak > 0:
-        out[NUM_JOINTS] = blur / peak
+    out[NUM_JOINTS] = blur / peak if peak > 0 else 0.0
     return out
 
 
-def generate_sample(assets, seed):
-    """One fully self-consistent sample: J_3d := J @ V_3d, J_2d := project(J_3d)."""
+def generate_sample(assets, seed, out=None):
+    """One fully self-consistent sample: J_3d := J @ V_3d, J_2d := project(J_3d).
+    The input is rendered into `out` if given."""
     pose = sample_pose(assets.skeleton, substream(seed, "pose"))
     V = skin(assets.template, assets.skeleton, assets.weights, pose)
     J3 = assets.J @ V
     camera = fit_camera(V, substream(seed, "camera"))
     V2 = project(V, camera)
     J2 = project(J3, camera)
-    inp = render_input(J2, V2)
+    inp = render_input(J2, V2, out=out)
     return HandSample(input=inp, V_3d=V, J_3d=J3, J_2d=J2, camera=camera, seed=int(seed))

@@ -1,9 +1,11 @@
-"""Shared test utilities: central finite-difference gradient checking and
-the composed multi-head attention reference."""
+"""Shared test utilities: central finite-difference gradient checking, the
+composed multi-head attention reference and the per-joint input renderer."""
 
 import numpy as np
+from scipy.ndimage import gaussian_filter
 
 from handmesh import autograd as ag
+from handmesh.synth import HEATMAP_SIGMA, IMAGE_SIZE, NUM_JOINTS
 
 
 def fd_gradcheck(fn, tensors, step=1e-5, rng=None, max_checks=64):
@@ -57,3 +59,24 @@ def attention_composed(qkv, heads):
     att = ag.softmax(ag.mul(att, 1.0 / np.sqrt(dh)), axis=-1)
     y = ag.matmul(att, v)  # (B, heads, N, dh)
     return ag.reshape(ag.transpose(y, (0, 2, 1, 3)), (b, n, c))
+
+
+def render_input_loop(J_2d, V_2d, size=IMAGE_SIZE, sigma=HEATMAP_SIGMA):
+    """The input renderer with one Gaussian heatmap per loop pass, in
+    float64: the reference for the broadcast `synth.render_input`."""
+    grid = np.arange(size, dtype=np.float64)
+    out = np.zeros((NUM_JOINTS + 1, size, size))
+    for j in range(NUM_JOINTS):
+        u, v = J_2d[j]
+        gx = np.exp(-0.5 * ((grid - u) / sigma) ** 2)
+        gy = np.exp(-0.5 * ((grid - v) / sigma) ** 2)
+        out[j] = gy[:, None] * gx[None, :]
+    counts = np.zeros((size, size))
+    ix = np.clip(V_2d[:, 0].round().astype(int), 0, size - 1)
+    iy = np.clip(V_2d[:, 1].round().astype(int), 0, size - 1)
+    np.add.at(counts, (iy, ix), 1.0)
+    blur = gaussian_filter(counts, sigma=3.0)
+    peak = blur.max()
+    if peak > 0:
+        out[NUM_JOINTS] = blur / peak
+    return out

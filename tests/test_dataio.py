@@ -1,6 +1,6 @@
-"""Record container and dataset directory round trips."""
+"""Record container round trips and datasets rendered from their manifest."""
 
-import filecmp
+import json
 import os
 
 import numpy as np
@@ -30,12 +30,6 @@ class TestRecordContainer:
             assert loaded[name].dtype == arr.dtype
             assert np.array_equal(loaded[name], arr)
             assert loaded[name].tobytes() == arr.tobytes()
-
-    def test_force_dtype_casts_to_f4(self, tmp_path):
-        path = tmp_path / "rec.bin"
-        dataio.write_record(path, {"x": np.arange(4, dtype=np.float64)}, force_dtype="<f4")
-        loaded, _ = dataio.read_record(path)
-        assert loaded["x"].dtype == np.float32
 
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "rec.bin"
@@ -90,11 +84,9 @@ class TestDatasetDirectory:
         d2 = tmp_path / "b"
         dataio.generate_dataset(d1, 4, seed=7, assets=assets)
         dataio.generate_dataset(d2, 4, seed=7, assets=assets)
-        names = sorted(os.listdir(d1))
-        assert names == sorted(os.listdir(d2))
-        match, mismatch, errors = filecmp.cmpfiles(d1, d2, names, shallow=False)
-        assert mismatch == [] and errors == []
-        assert len(match) == 5  # 4 records + manifest
+        # samples are rendered on read: the manifest is the whole dataset
+        assert os.listdir(d1) == os.listdir(d2) == ["manifest.json"]
+        assert (d1 / "manifest.json").read_bytes() == (d2 / "manifest.json").read_bytes()
 
     def test_manifest_fields(self, tmp_path, assets):
         manifest = dataio.generate_dataset(tmp_path / "d", 3, seed=5, assets=assets)
@@ -121,13 +113,17 @@ class TestDatasetDirectory:
 
     def test_loaded_equals_generated_after_quantization(self, tmp_path, assets):
         out = tmp_path / "d"
-        dataio.generate_dataset(out, 2, seed=3, assets=assets)
+        dataio.generate_dataset(out, 3, seed=3, assets=assets)
         ds = dataio.Dataset(out)
-        s_disk = ds[1]
-        s_mem = synth.generate_sample(assets, dataio.sample_seed(3, 1))
-        assert s_disk.seed == s_mem.seed
-        for f in ("input", "V_3d", "J_3d", "J_2d", "camera"):
-            assert np.array_equal(getattr(s_disk, f), getattr(s_mem, f).astype(np.float32))
+        batch = ds.batch([2, 1, 2])
+        for row, i in enumerate((2, 1, 2)):
+            s_read = ds[i]
+            s_mem = synth.generate_sample(assets, dataio.sample_seed(3, i))
+            assert s_read.seed == s_mem.seed
+            for f in ("input", "V_3d", "J_3d", "J_2d", "camera"):
+                want = getattr(s_mem, f).astype("<f4").tobytes()
+                assert getattr(s_read, f).tobytes() == want
+                assert batch[f][row].tobytes() == want
 
     def test_batch_stacking(self, tmp_path, assets):
         out = tmp_path / "d"
@@ -140,6 +136,33 @@ class TestDatasetDirectory:
     def test_bad_count_rejected(self, tmp_path, assets):
         with pytest.raises(ValueError):
             dataio.generate_dataset(tmp_path / "d", 0, seed=1, assets=assets)
+
+    def test_index_out_of_range_rejected(self, tmp_path, assets):
+        dataio.generate_dataset(tmp_path / "d", 2, seed=1, assets=assets)
+        ds = dataio.Dataset(tmp_path / "d")
+        for bad in (2, -1):
+            with pytest.raises(IndexError):
+                ds[bad]
+            with pytest.raises(IndexError):
+                ds.batch([0, bad])
+
+    # value None deletes the field
+    @pytest.mark.parametrize("field, value", [
+        ("count", 0), ("count", 2.5), ("count", "3"), ("count", True), ("count", None),
+        ("seed", None), ("seed", 1.0), ("seed", "7"), ("seed", -1),
+    ])
+    def test_bad_manifest_rejected(self, tmp_path, assets, field, value):
+        dataio.generate_dataset(tmp_path / "d", 3, seed=5, assets=assets)
+        path = tmp_path / "d" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        if value is None:
+            del manifest[field]
+        else:
+            manifest[field] = value
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=f"{field} must be an integer") as err:
+            dataio.Dataset(tmp_path / "d")
+        assert str(path) in str(err.value)
 
 
 class TestCheckpoint:

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from handmesh import dataio
+from handmesh import bench, dataio
 from handmesh.ablate import apply_cell, cell_id, expand_grid, read_rows, run_ablation, summarize
 from handmesh.bench import run_bench
 from handmesh.cli import main
@@ -276,6 +276,24 @@ class TestBench:
     def test_too_few_iterations_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             run_bench(tiny_config("unused", tmp_path), iters=5)
+
+    def test_input_is_the_dataset_batch(self, tmp_path, monkeypatch):
+        seen = []
+
+        class Probe:
+            def __call__(self, image):
+                seen.append(image.data)
+
+            def param_count_split(self):
+                return 0, 0
+
+        monkeypatch.setattr(bench, "build_model", lambda cfg: Probe())
+        cfg = tiny_config("unused", tmp_path, seed=13)
+        run_bench(cfg, iters=10, warmup=0, batch_size=3)
+        dataio.generate_dataset(tmp_path / "d", 3, cfg.seed)
+        want = dataio.Dataset(tmp_path / "d").batch(range(3))["input"]
+        assert len(seen) == 10
+        assert seen[0].dtype == want.dtype and seen[0].tobytes() == want.tobytes()
 
 
 class TestCliPipeline:

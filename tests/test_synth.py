@@ -6,6 +6,7 @@ from scipy.spatial.transform import Rotation
 
 from handmesh import synth
 from handmesh.rng import substream
+from helpers import render_input_loop
 
 
 @pytest.fixture(scope="module")
@@ -242,6 +243,26 @@ class TestRenderInput:
             want = heatmap_sum_oracle(s.J_2d[j], synth.IMAGE_SIZE, synth.HEATMAP_SIGMA)
             got = s.input[j].sum()
             assert abs(got - want) / want < 1e-6
+
+    def test_matches_loop_oracle_bit_for_bit(self, assets):
+        out = np.empty((synth.NUM_JOINTS + 1, synth.IMAGE_SIZE, synth.IMAGE_SIZE), np.float32)
+        for seed in range(20):
+            s = synth.generate_sample(assets, seed)
+            V_2d = synth.project(s.V_3d, s.camera)
+            want = render_input_loop(s.J_2d, V_2d)
+            got = synth.render_input(s.J_2d, V_2d)
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+            # a poisoned buffer shows any element the float32 path leaves unwritten
+            out.fill(np.nan)
+            assert synth.render_input(s.J_2d, V_2d, out=out) is out
+            assert out.tobytes() == want.astype("<f4").tobytes()
+
+    def test_empty_silhouette_overwrites_out(self):
+        J_2d = np.full((synth.NUM_JOINTS, 2), 100.0)
+        V_2d = np.zeros((0, 2))
+        out = np.full((synth.NUM_JOINTS + 1, synth.IMAGE_SIZE, synth.IMAGE_SIZE), np.nan)
+        synth.render_input(J_2d, V_2d, out=out)
+        assert out.tobytes() == render_input_loop(J_2d, V_2d).tobytes()
 
 
 # ---------------------------------------------------------------------------

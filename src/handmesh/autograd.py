@@ -299,22 +299,6 @@ def getitem(x, key):
     return out
 
 
-def concat(tensors, axis):
-    out = Tensor(
-        np.concatenate([t.data for t in tensors], axis=axis),
-        requires_grad=_wants_grad(*tensors),
-    )
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def backward_fn(g):
-        for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            _accum(t, piece)
-
-    _record(out, backward_fn)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # matmul and nonlinearities
 # ---------------------------------------------------------------------------
@@ -327,8 +311,10 @@ def matmul(a, b):
     out = Tensor(np.matmul(a.data, b.data), requires_grad=_wants_grad(a, b))
 
     def backward_fn(g):
-        _accum(a, _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.shape))
-        _accum(b, _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.shape))
 
     _record(out, backward_fn)
     return out

@@ -80,10 +80,10 @@ def sample_seed(dataset_seed, index):
     return int(np.random.SeedSequence(entropy=int(dataset_seed), spawn_key=(int(index),)).generate_state(1)[0])
 
 
-def generate_dataset(out_dir, count, seed, assets=None):
+def generate_dataset(out_dir, count, seed):
     """Write the dataset's only file, its manifest; byte-identical per (count, seed).
 
-    Samples are rendered when read, so `assets` is not used.
+    Samples are rendered when read.
     """
     if count < 1:
         raise ValueError(f"dataset count must be >= 1, got {count}")

@@ -13,7 +13,6 @@ import numpy as np
 from .autograd import Tensor
 from .losses import joints_from_vertices
 from .metrics import compute_report
-from .synth import build_assets
 
 METRIC_COLUMNS = ("mpjpe_mm", "mpvpe_mm", "pa_mpjpe_mm", "pa_mpvpe_mm", "f_at_05", "f_at_15")
 
@@ -32,7 +31,7 @@ def evaluate(model, dataset, out_dir=None, batch_size=8, indices=None):
     indices = list(indices)
     if not indices:
         raise ValueError("nothing to evaluate: empty index set")
-    J = build_assets().J
+    J = dataset.assets.J
     rows = []
     for lo in range(0, len(indices), batch_size):
         chunk = indices[lo:lo + batch_size]

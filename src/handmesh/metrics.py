@@ -4,7 +4,7 @@ Alignment solves min_{s,R,t} sum ||s R p_i + t - g_i||^2 in closed form:
 center both clouds, SVD the cross-covariance, correct an improper rotation
 by flipping the smallest singular direction, and read the isotropic scale
 off the corrected singular-value trace. Each aligned metric aligns its own
-point set (joints for PA-MPJPE, vertices for PA-MPVPE).
+point set (joints for PA-MPJPE, vertices for PA-MPVPE and the F-scores).
 """
 
 from dataclasses import dataclass, asdict
@@ -85,34 +85,39 @@ def pa_metric(P, G):
     return mean_euclidean(aligned, G)
 
 
-def f_score(P, G, tau_mm, corresponded=False):
-    """F-score at threshold tau_mm, computed after Procrustes alignment.
+def _nn_distances(aligned, G):
+    """Nearest-neighbor distances from each aligned point to G, and from each G point back."""
+    return cKDTree(G).query(aligned)[0], cKDTree(aligned).query(G)[0]
 
-    Default distances are nearest-neighbor in both directions; with
-    corresponded=True both precision and recall use per-index distances.
-    """
-    _, aligned = procrustes_align(P, G)
-    if corresponded:
-        d = np.linalg.norm(aligned - G, axis=-1)
-        precision = float((d <= tau_mm).mean())
-        recall = precision
-    else:
-        d_pg = cKDTree(G).query(aligned)[0]
-        d_gp = cKDTree(aligned).query(G)[0]
-        precision = float((d_pg <= tau_mm).mean())
-        recall = float((d_gp <= tau_mm).mean())
+
+def _f_at(distances, tau_mm):
+    d_pg, d_gp = distances
+    precision = float((d_pg <= tau_mm).mean())
+    recall = float((d_gp <= tau_mm).mean())
     if precision + recall == 0.0:
         return 0.0
     return 2.0 * precision * recall / (precision + recall)
 
 
-def compute_report(pred_vertices, gt_vertices, pred_joints, gt_joints, corresponded_f=False):
-    """All six metrics for one sample; F-scores are over mesh vertices."""
+def f_score(P, G, tau_mm):
+    """F-score at threshold tau_mm over nearest-neighbor distances in both
+    directions, computed after Procrustes alignment."""
+    _, aligned = procrustes_align(P, G)
+    return _f_at(_nn_distances(aligned, G), tau_mm)
+
+
+def compute_report(pred_vertices, gt_vertices, pred_joints, gt_joints):
+    """All six metrics for one sample; F-scores are over mesh vertices.
+
+    The vertices are aligned once; PA-MPVPE and both F-scores read that alignment.
+    """
+    _, aligned = procrustes_align(pred_vertices, gt_vertices)
+    distances = _nn_distances(aligned, gt_vertices)
     return MetricsReport(
         mpjpe_mm=mean_euclidean(pred_joints, gt_joints),
         mpvpe_mm=mean_euclidean(pred_vertices, gt_vertices),
         pa_mpjpe_mm=pa_metric(pred_joints, gt_joints),
-        pa_mpvpe_mm=pa_metric(pred_vertices, gt_vertices),
-        f_at_05=f_score(pred_vertices, gt_vertices, 5.0, corresponded=corresponded_f),
-        f_at_15=f_score(pred_vertices, gt_vertices, 15.0, corresponded=corresponded_f),
+        pa_mpvpe_mm=mean_euclidean(aligned, gt_vertices),
+        f_at_05=_f_at(distances, 5.0),
+        f_at_15=_f_at(distances, 15.0),
     )

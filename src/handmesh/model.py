@@ -11,7 +11,6 @@ from .rng import substream
 from .tokens import SamplerConfig, TokenGenerator, expected_tokens
 
 INPUT_CHANNELS = 22  # 21 keypoint heatmaps + 1 silhouette
-IMAGE_SIZE = 224
 
 
 @dataclass
@@ -23,13 +22,13 @@ class ModelOutput:
 
 class HandMeshModel(Module):
     def __init__(self, sampler_cfg=None, decoder_cfg=None, seed=0, c_in=INPUT_CHANNELS,
-                 dtype=np.float32, image_size=IMAGE_SIZE, use_pos_emb=True):
+                 dtype=np.float32, use_pos_emb=True):
         sampler_cfg = sampler_cfg or SamplerConfig()
         decoder_cfg = decoder_cfg or paper_decoder_config()
         rng = substream(seed, "model-init")
         self.sampler_cfg = sampler_cfg
         self.decoder_cfg = decoder_cfg
-        self.tokens = TokenGenerator(sampler_cfg, c_in, rng, dtype=dtype, image_size=image_size)
+        self.tokens = TokenGenerator(sampler_cfg, c_in, rng, dtype=dtype)
         self.regressor = MeshRegressor(
             decoder_cfg, expected_tokens(sampler_cfg), self.tokens.out_channels, rng, dtype=dtype,
             use_pos_emb=use_pos_emb,

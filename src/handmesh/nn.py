@@ -109,21 +109,20 @@ class ConvTranspose2d(Module):
 
 
 class LayerNorm(Module):
-    def __init__(self, c, dtype=np.float32, eps=1e-5):
+    def __init__(self, c, dtype=np.float32):
         self.gamma = Tensor(np.ones(c, dtype=dtype), requires_grad=True)
         self.beta = Tensor(np.zeros(c, dtype=dtype), requires_grad=True)
-        self.eps = eps
 
     def __call__(self, x):
-        return ag.layer_norm(x, self.gamma, self.beta, eps=self.eps)
+        return ag.layer_norm(x, self.gamma, self.beta)
 
 
 class Mlp(Module):
     """Two affine maps around a GELU, hidden width 4x."""
 
-    def __init__(self, c, rng, dtype=np.float32, expansion=4):
-        self.fc1 = Affine(c, expansion * c, rng, dtype)
-        self.fc2 = Affine(expansion * c, c, rng, dtype)
+    def __init__(self, c, rng, dtype=np.float32):
+        self.fc1 = Affine(c, 4 * c, rng, dtype)
+        self.fc2 = Affine(4 * c, c, rng, dtype)
 
     def __call__(self, x):
         return self.fc2(ag.gelu(self.fc1(x)))

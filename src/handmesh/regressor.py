@@ -17,8 +17,6 @@ from .nn import Affine, MetaformerBlock, Module, _uniform_init
 NUM_VERTICES = 778
 MIXERS = ("attn", "identity")
 
-_MIXER_ALIASES = {"attn": "attn", "attention": "attn", "identity": "identity"}
-
 
 @dataclass
 class DecoderConfig:
@@ -36,7 +34,9 @@ class DecoderConfig:
             seq = getattr(self, name)
             if len(seq) != self.k:
                 raise ValueError(f"len({name}) == {len(seq)} does not match k == {self.k}")
-        self.m = [self._canon_mixer(mk) for mk in self.m]
+        for mk in self.m:
+            if mk not in MIXERS:
+                raise ValueError(f"unknown mixer {mk!r}, expected one of {MIXERS}")
         if any(dk <= 0 for dk in self.d) or any(a >= b for a, b in zip(self.d, self.d[1:])):
             raise ValueError(f"token counts d must be strictly increasing, got {self.d}")
         if self.d[-1] != NUM_VERTICES:
@@ -50,13 +50,6 @@ class DecoderConfig:
                 raise ValueError(f"channel widths must be >= 1, got {self.c}")
             if mk == "attn" and ck % self.heads:
                 raise ValueError(f"channel width {ck} not divisible by {self.heads} heads")
-
-    @staticmethod
-    def _canon_mixer(name):
-        try:
-            return _MIXER_ALIASES[name]
-        except KeyError:
-            raise ValueError(f"unknown mixer {name!r}, expected one of {MIXERS}") from None
 
 
 def paper_decoder_config():

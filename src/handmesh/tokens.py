@@ -81,6 +81,12 @@ class TokenSet:
         return self.tokens.shape[1]
 
 
+def _tent(k, stride):
+    """The k taps of the linear-interpolation (tent) filter at this stride."""
+    taps = np.arange(k, dtype=np.float64)
+    return np.maximum(0.0, 1.0 - np.abs(taps + 0.5 - k / 2.0) / stride)
+
+
 def _add_smoothing_passthrough(conv, gain=1.4):
     """Re-init matched channels of a conv as per-channel smoothing kernels.
 
@@ -98,8 +104,7 @@ def _add_smoothing_passthrough(conv, gain=1.4):
     if conv.stride == 1:
         kern = np.full((k, k), 1.0 / (k * k), dtype=w.dtype)
     else:
-        taps = np.arange(k, dtype=np.float64)
-        t = np.maximum(0.0, 1.0 - np.abs(taps + 0.5 - k / 2.0) / conv.stride)
+        t = _tent(k, conv.stride)
         t /= t.sum()
         kern = np.outer(t, t).astype(w.dtype)
     for j in range(min(cin, cout)):
@@ -111,8 +116,7 @@ def _add_bilinear_passthrough(tconv, stride):
     """Re-init matched channels of a transposed conv as bilinear upsampling."""
     w = tconv.weight.data
     cin, cout, k, _ = w.shape
-    taps = np.arange(k, dtype=np.float64)
-    t = np.maximum(0.0, 1.0 - np.abs(taps + 0.5 - k / 2.0) / stride)
+    t = _tent(k, stride)
     kern = np.outer(t, t).astype(w.dtype)
     for j in range(min(cin, cout)):
         w[:, j] = 0.0
@@ -126,10 +130,10 @@ class ToyBackbone(Module):
     half-pixel alignment the coordinate mapping assumes.
     """
 
-    def __init__(self, c_in, rng, dtype=np.float32, widths=BACKBONE_WIDTHS):
+    def __init__(self, c_in, rng, dtype=np.float32):
         self.stages = []
         prev = c_in
-        for w in widths:
+        for w in BACKBONE_WIDTHS:
             stage = Conv2d(prev, w, 4, rng, stride=2, padding=1, dtype=dtype)
             _add_smoothing_passthrough(stage)
             self.stages.append(stage)
@@ -175,11 +179,6 @@ class FeatureUpsampler(Module):
         return x
 
 
-def image_coords_from_feature(coords_f, stride):
-    """Map feature-lattice coordinates to full-image pixel coordinates."""
-    return ag.add(ag.mul(ag.add(coords_f, 0.5), float(stride)), -0.5)
-
-
 def feature_coords_from_image(coords_img, stride):
     return ag.add(ag.mul(ag.add(coords_img, 0.5), 1.0 / float(stride)), -0.5)
 
@@ -187,24 +186,16 @@ def feature_coords_from_image(coords_img, stride):
 def soft_argmax_2d(logits, image_size=224):
     """Spatial softmax + expectation: logits (B,K,H,W) -> (heatmaps, coords).
 
-    Coordinates are expectations over pixel centers mapped to full-image
-    scale, so they always land strictly inside the image.
+    Coordinates are one expectation over the cell centers in full-image
+    pixels, (x + 0.5) * stride - 0.5 per axis, so they always land strictly
+    inside the image.
     """
     b, k, h, w = logits.shape
-    flat = ag.reshape(logits, (b, k, h * w))
-    p = ag.softmax(flat, axis=-1)
-    dtype = logits.dtype
+    p = ag.softmax(ag.reshape(logits, (b, k, h * w)), axis=-1)
     ys, xs = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    xs = Tensor(xs.reshape(-1).astype(dtype))
-    ys = Tensor(ys.reshape(-1).astype(dtype))
-    x_f = ag.sum_(ag.mul(p, xs), axis=-1)  # (B, K)
-    y_f = ag.sum_(ag.mul(p, ys), axis=-1)
-    coords_f = ag.concat(
-        [ag.reshape(x_f, (b, k, 1)), ag.reshape(y_f, (b, k, 1))], axis=-1
-    )
-    stride = image_size / w
-    coords = image_coords_from_feature(coords_f, stride)
-    return ag.reshape(p, (b, k, h, w)), coords
+    cells = np.stack([xs.reshape(-1), ys.reshape(-1)], axis=-1)
+    centers = Tensor(((cells + 0.5) * (image_size / w) - 0.5).astype(logits.dtype))
+    return ag.reshape(p, (b, k, h, w)), ag.matmul(p, centers)
 
 
 def sample_tokens(feat, cfg, kp_coords=None, coarse_coords=None, image_size=224):
@@ -219,16 +210,11 @@ def sample_tokens(feat, cfg, kp_coords=None, coarse_coords=None, image_size=224)
         tokens = ag.reshape(ag.mean(feat, axis=(2, 3)), (b, 1, c))
     elif cfg.variant == "grid":
         tokens = ag.transpose(ag.reshape(feat, (b, c, h * w)), (0, 2, 1))
-    elif cfg.variant in ("keypoint", "keypoint_enhanced"):
-        if kp_coords is None:
-            raise ValueError("keypoint sampling needs predicted coordinates")
-        coords_f = feature_coords_from_image(kp_coords, image_size / w)
-        tokens = ag.bilinear_sample(feat, coords_f)
-    else:  # coarse_mesh
-        if coarse_coords is None:
-            raise ValueError("coarse-mesh sampling needs coarse coordinates")
-        coords_f = feature_coords_from_image(coarse_coords, image_size / w)
-        tokens = ag.bilinear_sample(feat, coords_f)
+    else:
+        coords = coarse_coords if cfg.variant == "coarse_mesh" else kp_coords
+        if coords is None:
+            raise ValueError(f"{cfg.variant} sampling needs predicted coordinates")
+        tokens = ag.bilinear_sample(feat, feature_coords_from_image(coords, image_size / w))
     n = expected_tokens(cfg)
     if tokens.shape != (b, n, c):
         raise RuntimeError(f"token count law violated: {tokens.shape} vs N={n}")
@@ -240,9 +226,8 @@ def sample_tokens(feat, cfg, kp_coords=None, coarse_coords=None, image_size=224)
 class TokenGenerator(Module):
     """Backbone + upsampler + keypoint head(s) + the configured sampler."""
 
-    def __init__(self, cfg, c_in, rng, dtype=np.float32, image_size=224):
+    def __init__(self, cfg, c_in, rng, dtype=np.float32):
         self.cfg = cfg
-        self.image_size = image_size
         self.backbone = ToyBackbone(c_in, rng, dtype=dtype)
         self.upsampler = FeatureUpsampler(cfg.upsample_scheme, self.backbone.out_channels, rng, dtype=dtype)
         # coordinate heads start at zero: uniform heatmaps keep the
@@ -258,12 +243,13 @@ class TokenGenerator(Module):
         return self.backbone.out_channels
 
     def __call__(self, image):
+        image_size = image.shape[-1]
         feat = self.upsampler(self.backbone(image))
-        heatmaps, kp_coords = soft_argmax_2d(self.kp_head(feat), self.image_size)
+        heatmaps, kp_coords = soft_argmax_2d(self.kp_head(feat), image_size)
         kp = KeypointPrediction(heatmaps=heatmaps, coords=kp_coords)
         coarse_coords = None
         if self.cfg.variant == "coarse_mesh":
-            _, coarse_coords = soft_argmax_2d(self.coarse_head(feat), self.image_size)
+            _, coarse_coords = soft_argmax_2d(self.coarse_head(feat), image_size)
         tokens = sample_tokens(feat, self.cfg, kp_coords=kp_coords,
-                               coarse_coords=coarse_coords, image_size=self.image_size)
+                               coarse_coords=coarse_coords, image_size=image_size)
         return tokens, kp

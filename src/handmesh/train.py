@@ -17,7 +17,6 @@ from .losses import total_loss
 from .model import HandMeshModel
 from .optim import AdamW, lr_at_step
 from .rng import substream
-from .synth import build_assets
 
 
 @dataclass
@@ -66,7 +65,6 @@ def train(cfg):
     os.makedirs(cfg.out_dir, exist_ok=True)
     ds = dataio.Dataset(cfg.dataset)
     model = build_model(cfg)
-    assets = build_assets()
     opt = AdamW(model.parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
     order = substream(cfg.seed, "data-order")
 
@@ -75,7 +73,7 @@ def train(cfg):
     cfg_path = os.path.join(cfg.out_dir, "config.json")
     cfg.save(cfg_path)
 
-    initial = dataset_loss(model, ds, assets, cfg.loss_weights)
+    initial = dataset_loss(model, ds, ds.assets, cfg.loss_weights)
     with open(log_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "L_vert", "L_J3d", "L_J2d", "total", "lr"])
@@ -87,7 +85,7 @@ def train(cfg):
                 try:
                     out = model(Tensor(batch["input"]))
                     bd = total_loss(out.vertices, batch["V_3d"], out.keypoints_2d,
-                                    batch["J_2d"], assets.J, cfg.loss_weights)
+                                    batch["J_2d"], ds.assets.J, cfg.loss_weights)
                 except FloatingPointError as err:
                     # a non-finite intermediate tripped a forward check
                     _dump_abort(cfg, step, idxs, reason=str(err))
@@ -103,7 +101,7 @@ def train(cfg):
             writer.writerow([step, repr(bd.L_vert), repr(bd.L_J3d), repr(bd.L_J2d),
                              repr(bd.total), repr(opt.lr)])
 
-    final = dataset_loss(model, ds, assets, cfg.loss_weights)
+    final = dataset_loss(model, ds, ds.assets, cfg.loss_weights)
     dataio.save_checkpoint(ckpt_path, model.state_dict())
     return RunArtifacts(checkpoint=ckpt_path, log_csv=log_path, config_json=cfg_path,
                         initial_loss=initial, final_loss=final)

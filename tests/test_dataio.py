@@ -79,17 +79,17 @@ class TestRecordContainer:
 
 
 class TestDatasetDirectory:
-    def test_generation_is_byte_identical(self, tmp_path, assets):
+    def test_generation_is_byte_identical(self, tmp_path):
         d1 = tmp_path / "a"
         d2 = tmp_path / "b"
-        dataio.generate_dataset(d1, 4, seed=7, assets=assets)
-        dataio.generate_dataset(d2, 4, seed=7, assets=assets)
+        dataio.generate_dataset(d1, 4, seed=7)
+        dataio.generate_dataset(d2, 4, seed=7)
         # samples are rendered on read: the manifest is the whole dataset
         assert os.listdir(d1) == os.listdir(d2) == ["manifest.json"]
         assert (d1 / "manifest.json").read_bytes() == (d2 / "manifest.json").read_bytes()
 
-    def test_manifest_fields(self, tmp_path, assets):
-        manifest = dataio.generate_dataset(tmp_path / "d", 3, seed=5, assets=assets)
+    def test_manifest_fields(self, tmp_path):
+        manifest = dataio.generate_dataset(tmp_path / "d", 3, seed=5)
         assert manifest["count"] == 3
         assert manifest["seed"] == 5
         assert manifest["units"] == "mm"
@@ -99,7 +99,7 @@ class TestDatasetDirectory:
 
     def test_loaded_samples_consistent_at_storage_precision(self, tmp_path, assets):
         out = tmp_path / "d"
-        dataio.generate_dataset(out, 3, seed=11, assets=assets)
+        dataio.generate_dataset(out, 3, seed=11)
         ds = dataio.Dataset(out)
         assert len(ds) == 3
         for i in range(3):
@@ -113,7 +113,7 @@ class TestDatasetDirectory:
 
     def test_loaded_equals_generated_after_quantization(self, tmp_path, assets):
         out = tmp_path / "d"
-        dataio.generate_dataset(out, 3, seed=3, assets=assets)
+        dataio.generate_dataset(out, 3, seed=3)
         ds = dataio.Dataset(out)
         batch = ds.batch([2, 1, 2])
         for row, i in enumerate((2, 1, 2)):
@@ -125,20 +125,20 @@ class TestDatasetDirectory:
                 assert getattr(s_read, f).tobytes() == want
                 assert batch[f][row].tobytes() == want
 
-    def test_batch_stacking(self, tmp_path, assets):
+    def test_batch_stacking(self, tmp_path):
         out = tmp_path / "d"
-        dataio.generate_dataset(out, 4, seed=2, assets=assets)
+        dataio.generate_dataset(out, 4, seed=2)
         batch = dataio.Dataset(out).batch([0, 2])
         assert batch["input"].shape == (2, 22, 224, 224)
         assert batch["V_3d"].shape == (2, 778, 3)
         assert batch["camera"].shape == (2, 3)
 
-    def test_bad_count_rejected(self, tmp_path, assets):
+    def test_bad_count_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            dataio.generate_dataset(tmp_path / "d", 0, seed=1, assets=assets)
+            dataio.generate_dataset(tmp_path / "d", 0, seed=1)
 
-    def test_index_out_of_range_rejected(self, tmp_path, assets):
-        dataio.generate_dataset(tmp_path / "d", 2, seed=1, assets=assets)
+    def test_index_out_of_range_rejected(self, tmp_path):
+        dataio.generate_dataset(tmp_path / "d", 2, seed=1)
         ds = dataio.Dataset(tmp_path / "d")
         for bad in (2, -1):
             with pytest.raises(IndexError):
@@ -151,8 +151,8 @@ class TestDatasetDirectory:
         ("count", 0), ("count", 2.5), ("count", "3"), ("count", True), ("count", None),
         ("seed", None), ("seed", 1.0), ("seed", "7"), ("seed", -1),
     ])
-    def test_bad_manifest_rejected(self, tmp_path, assets, field, value):
-        dataio.generate_dataset(tmp_path / "d", 3, seed=5, assets=assets)
+    def test_bad_manifest_rejected(self, tmp_path, field, value):
+        dataio.generate_dataset(tmp_path / "d", 3, seed=5)
         path = tmp_path / "d" / "manifest.json"
         manifest = json.loads(path.read_text())
         if value is None:

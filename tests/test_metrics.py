@@ -257,20 +257,6 @@ class TestFScore:
             G = P + rng.normal(0, 10, (25, 3))
             assert mx.f_score(P, G, 15.0) >= mx.f_score(P, G, 5.0)
 
-    def test_corresponded_flag_uses_index_pairing(self):
-        # pairs of points 12mm apart, swapped within each pair: the clouds
-        # are equal as sets (nearest-neighbor distances ~0) but every index
-        # pairing is 12mm off; the swap perturbs the cross-covariance
-        # symmetrically, so the optimal alignment stays essentially identity
-        rng = np.random.default_rng(19)
-        centers = rng.normal(0, 2000, (10, 3))
-        offs = rng.normal(size=(10, 3))
-        offs = 12.0 * offs / np.linalg.norm(offs, axis=1, keepdims=True)
-        G = np.concatenate([centers, centers + offs])
-        P = np.concatenate([centers + offs, centers])
-        assert mx.f_score(P, G, 5.0, corresponded=False) == 1.0
-        assert mx.f_score(P, G, 5.0, corresponded=True) == 0.0
-
 
 # ---------------------------------------------------------------------------
 # report assembly
@@ -303,3 +289,16 @@ class TestReport:
         rep = mx.MetricsReport(1.0, 2.0, 0.5, 1.5, 0.9, 1.0)
         d = rep.to_dict()
         assert set(d) == {"mpjpe_mm", "mpvpe_mm", "pa_mpjpe_mm", "pa_mpvpe_mm", "f_at_05", "f_at_15"}
+
+    def test_matches_per_metric_functions(self):
+        # the shared vertex alignment must give exactly what each metric
+        # function computes on its own
+        rng = np.random.default_rng(22)
+        for _ in range(5):
+            gt_v = rng.normal(0, 40, (80, 3))
+            gt_j = rng.normal(0, 40, (21, 3))
+            pred_v = gt_v + rng.normal(0, 6, gt_v.shape)
+            rep = mx.compute_report(pred_v, gt_v, gt_j + rng.normal(0, 6, gt_j.shape), gt_j)
+            assert rep.pa_mpvpe_mm == mx.pa_metric(pred_v, gt_v)
+            assert rep.f_at_05 == mx.f_score(pred_v, gt_v, 5.0)
+            assert rep.f_at_15 == mx.f_score(pred_v, gt_v, 15.0)

@@ -63,10 +63,6 @@ class TestDecoderConfig:
                                "m": ["attn", "attn", "attn"], "c": [256, 128, 64], "heads": 4}
         assert DecoderConfig(**asdict(cfg)) == cfg
 
-    def test_attention_alias_canonicalized(self):
-        cfg = DecoderConfig(k=1, n=[1], d=[778], m=["attention"], c=[64], heads=4)
-        assert cfg.m == ["attn"]
-
     @pytest.mark.parametrize("kwargs", [
         dict(k=2, n=[1], d=[84, 778], m=["attn", "attn"], c=[64, 64]),  # len(n) != k
         dict(k=2, n=[1, 1], d=[336, 84], m=["attn", "attn"], c=[64, 64]),  # not increasing

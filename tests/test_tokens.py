@@ -188,12 +188,21 @@ class TestSoftArgmax:
         _, coords = soft_argmax_2d(Tensor(np.zeros((1, 3, res, res))))
         assert np.allclose(coords.data, center, atol=1e-9)
 
-    def test_matches_direct_expectation_oracle(self):
-        logits = substream(8, "logits").normal(size=(2, 21, 14, 14))
+    @pytest.mark.parametrize("dtype,tol_px", [(np.float64, 1e-8), (np.float32, 1e-3)],
+                             ids=["float64", "float32"])
+    def test_matches_direct_expectation_oracle(self, dtype, tol_px):
+        logits = substream(8, "logits").normal(size=(2, 21, 14, 14)).astype(dtype)
         heat, coords = soft_argmax_2d(Tensor(logits))
-        want = softargmax_oracle(logits)
-        rel = np.abs(coords.data - want).max() / np.abs(want).max()
-        assert rel < 1e-10
+        assert coords.dtype == dtype
+        want = softargmax_oracle(logits.astype(np.float64))
+        assert np.abs(coords.data - want).max() < tol_px
+
+    def test_taped_soft_argmax_records_four_nodes(self):
+        # reshape, softmax, the expectation product, the heatmap reshape
+        logits = Tensor(substream(8, "logits").normal(size=(2, 21, 14, 14)), requires_grad=True)
+        with Tape() as tape:
+            soft_argmax_2d(logits)
+        assert len(tape) == 4
 
     def test_heatmaps_normalized_and_coords_in_bounds(self):
         logits = 80.0 * substream(9, "logits").normal(size=(3, 21, 28, 28))

@@ -12,11 +12,10 @@ import time
 from dataclasses import asdict, replace
 
 from . import dataio
-from .config import ExperimentConfig
 from .evaluate import evaluate
 from .regressor import DecoderConfig
 from .tokens import SamplerConfig
-from .train import build_model, load_trained_model, train
+from .train import load_trained_model, train
 
 GRID_AXES = ("sampler", "decoder", "mixer", "use_pos_emb")
 

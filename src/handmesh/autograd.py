@@ -53,12 +53,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def zero_grad(self):
-        self.grad = None
-
-    def item(self):
-        return float(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
@@ -113,7 +107,9 @@ class Tape:
 
     While active, every primitive whose inputs carry requires_grad appends
     (output, backward_fn). backward(loss) seeds d(loss)/d(loss) = 1 and
-    walks the record in reverse, so replay order is deterministic.
+    walks the record in reverse, so replay order is deterministic. Each
+    output's gradient is dropped once its backward_fn has consumed it;
+    leaves, which are never recorded outputs, keep theirs.
     """
 
     def __init__(self):
@@ -143,6 +139,7 @@ class Tape:
             if out.grad is None:
                 continue
             backward_fn(out.grad)
+            out.grad = None
 
 
 def _as_tensor(x, dtype):

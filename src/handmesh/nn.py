@@ -5,8 +5,9 @@ Conv weights use the relu-gain bound sqrt(6/fan_in) so activation
 variance survives a deep stack; transposed convs use the effective
 fan-in cin*(k/stride)^2, since each output pixel only receives
 k^2/stride^2 taps. Biases, positional embeddings and norm offsets
-start at zero. Modules register parameters by attribute walk, giving
-each a stable dotted name for checkpoints.
+start at zero. Every parameter is created as float32; `Module.astype`
+casts a built module. Modules register parameters by attribute walk,
+giving each a stable dotted name for checkpoints.
 """
 
 import numpy as np
@@ -63,32 +64,32 @@ class Module:
     def astype(self, dtype):
         """Convert every parameter in place; returns self."""
         for p in self.parameters():
-            p.data = p.data.astype(dtype)
+            p.data = p.data.astype(dtype, copy=False)
             p.grad = None
         return self
 
 
-def _uniform_init(rng, shape, fan_in, dtype, gain=1.0):
+def _uniform_init(rng, shape, fan_in, gain=1.0):
     bound = np.sqrt(gain / fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
+    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
 
 
 class Affine(Module):
     """y = x @ W + b over the last axis."""
 
-    def __init__(self, fan_in, fan_out, rng, dtype=np.float32):
-        self.weight = Tensor(_uniform_init(rng, (fan_in, fan_out), fan_in, dtype), requires_grad=True)
-        self.bias = Tensor(np.zeros(fan_out, dtype=dtype), requires_grad=True)
+    def __init__(self, fan_in, fan_out, rng):
+        self.weight = Tensor(_uniform_init(rng, (fan_in, fan_out), fan_in), requires_grad=True)
+        self.bias = Tensor(np.zeros(fan_out, dtype=np.float32), requires_grad=True)
 
     def __call__(self, x):
         return ag.add(ag.matmul(x, self.weight), self.bias)
 
 
 class Conv2d(Module):
-    def __init__(self, cin, cout, k, rng, stride=1, padding=0, dtype=np.float32):
+    def __init__(self, cin, cout, k, rng, stride=1, padding=0):
         # gain 6 = relu-preserving variance for uniform weights
-        self.weight = Tensor(_uniform_init(rng, (cout, cin, k, k), cin * k * k, dtype, gain=6.0), requires_grad=True)
-        self.bias = Tensor(np.zeros(cout, dtype=dtype), requires_grad=True)
+        self.weight = Tensor(_uniform_init(rng, (cout, cin, k, k), cin * k * k, gain=6.0), requires_grad=True)
+        self.bias = Tensor(np.zeros(cout, dtype=np.float32), requires_grad=True)
         self.stride = stride
         self.padding = padding
 
@@ -97,10 +98,10 @@ class Conv2d(Module):
 
 
 class ConvTranspose2d(Module):
-    def __init__(self, cin, cout, k, rng, stride=2, padding=1, dtype=np.float32):
+    def __init__(self, cin, cout, k, rng, stride=2, padding=1):
         fan_eff = cin * (k // stride) ** 2  # taps actually reaching one output pixel
-        self.weight = Tensor(_uniform_init(rng, (cin, cout, k, k), max(fan_eff, 1), dtype, gain=3.0), requires_grad=True)
-        self.bias = Tensor(np.zeros(cout, dtype=dtype), requires_grad=True)
+        self.weight = Tensor(_uniform_init(rng, (cin, cout, k, k), max(fan_eff, 1), gain=3.0), requires_grad=True)
+        self.bias = Tensor(np.zeros(cout, dtype=np.float32), requires_grad=True)
         self.stride = stride
         self.padding = padding
 
@@ -109,9 +110,9 @@ class ConvTranspose2d(Module):
 
 
 class LayerNorm(Module):
-    def __init__(self, c, dtype=np.float32):
-        self.gamma = Tensor(np.ones(c, dtype=dtype), requires_grad=True)
-        self.beta = Tensor(np.zeros(c, dtype=dtype), requires_grad=True)
+    def __init__(self, c):
+        self.gamma = Tensor(np.ones(c, dtype=np.float32), requires_grad=True)
+        self.beta = Tensor(np.zeros(c, dtype=np.float32), requires_grad=True)
 
     def __call__(self, x):
         return ag.layer_norm(x, self.gamma, self.beta)
@@ -120,9 +121,9 @@ class LayerNorm(Module):
 class Mlp(Module):
     """Two affine maps around a GELU, hidden width 4x."""
 
-    def __init__(self, c, rng, dtype=np.float32):
-        self.fc1 = Affine(c, 4 * c, rng, dtype)
-        self.fc2 = Affine(4 * c, c, rng, dtype)
+    def __init__(self, c, rng):
+        self.fc1 = Affine(c, 4 * c, rng)
+        self.fc2 = Affine(4 * c, c, rng)
 
     def __call__(self, x):
         return self.fc2(ag.gelu(self.fc1(x)))
@@ -136,11 +137,11 @@ class Identity(Module):
 class SelfAttention(Module):
     """Standard multi-head self-attention over (B, N, C) token sets."""
 
-    def __init__(self, c, heads, rng, dtype=np.float32):
+    def __init__(self, c, heads, rng):
         if c % heads != 0:
             raise ValueError(f"channel width {c} not divisible by {heads} heads")
-        self.qkv = Affine(c, 3 * c, rng, dtype)
-        self.proj = Affine(c, c, rng, dtype)
+        self.qkv = Affine(c, 3 * c, rng)
+        self.proj = Affine(c, c, rng)
         self.heads = heads
 
     def __call__(self, x):
@@ -150,16 +151,16 @@ class SelfAttention(Module):
 class MetaformerBlock(Module):
     """Pre-norm token mixer plus pre-norm MLP, both residual."""
 
-    def __init__(self, c, mixer, heads, rng, dtype=np.float32):
+    def __init__(self, c, mixer, heads, rng):
         if mixer == "attn":
-            self.mixer = SelfAttention(c, heads, rng, dtype)
+            self.mixer = SelfAttention(c, heads, rng)
         elif mixer == "identity":
             self.mixer = Identity()
         else:
             raise ValueError(f"unknown mixer {mixer!r}, expected 'attn' or 'identity'")
-        self.norm1 = LayerNorm(c, dtype)
-        self.norm2 = LayerNorm(c, dtype)
-        self.mlp = Mlp(c, rng, dtype)
+        self.norm1 = LayerNorm(c)
+        self.norm2 = LayerNorm(c)
+        self.mlp = Mlp(c, rng)
 
     def __call__(self, x):
         x = ag.add(x, self.mixer(self.norm1(x)))

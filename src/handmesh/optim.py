@@ -4,11 +4,12 @@ import numpy as np
 
 
 class AdamW:
-    def __init__(self, params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8, weight_decay=1e-4):
+    beta1, beta2 = 0.9, 0.999
+    eps = 1e-8
+
+    def __init__(self, params, lr=1e-3, weight_decay=1e-4):
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
@@ -30,10 +31,6 @@ class AdamW:
             # decay is decoupled: applied to the weights, not the gradient
             p.data -= self.lr * self.weight_decay * p.data
             p.data -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
-
-    def zero_grad(self):
-        for p in self.params:
-            p.grad = None
 
 
 def lr_at_step(base_lr, step, total_steps):

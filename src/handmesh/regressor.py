@@ -57,26 +57,18 @@ def paper_decoder_config():
     return DecoderConfig()
 
 
-@dataclass
-class MeshOutput:
-    vertices: Tensor  # (B, 778, 3) root-relative mm
-    token_trace: list  # token counts observed layer by layer
-    channel_trace: list
-
-
 class DecoderLayer(Module):
     """reduce -> + pos_emb -> blocks -> token upsample."""
 
-    def __init__(self, n_in, c_in, c_out, n_blocks, mixer, heads, d_out, rng, dtype=np.float32,
-                 use_pos_emb=True):
+    def __init__(self, n_in, c_in, c_out, n_blocks, mixer, heads, d_out, rng, use_pos_emb=True):
         self.n_in = n_in
         self.d_out = d_out
-        self.reduce = Affine(c_in, c_out, rng, dtype)
+        self.reduce = Affine(c_in, c_out, rng)
         # zero start keeps the block stack permutation-equivariant at init
-        self.pos_emb = Tensor(np.zeros((n_in, c_out), dtype=dtype), requires_grad=True) if use_pos_emb else None
-        self.blocks = [MetaformerBlock(c_out, mixer, heads, rng, dtype) for _ in range(n_blocks)]
-        self.up_weight = Tensor(_uniform_init(rng, (d_out, n_in), n_in, dtype), requires_grad=True)
-        self.up_bias = Tensor(np.zeros((d_out, 1), dtype=dtype), requires_grad=True)
+        self.pos_emb = Tensor(np.zeros((n_in, c_out), dtype=np.float32), requires_grad=True) if use_pos_emb else None
+        self.blocks = [MetaformerBlock(c_out, mixer, heads, rng) for _ in range(n_blocks)]
+        self.up_weight = Tensor(_uniform_init(rng, (d_out, n_in), n_in), requires_grad=True)
+        self.up_bias = Tensor(np.zeros((d_out, 1), dtype=np.float32), requires_grad=True)
 
     def __call__(self, x):
         if x.shape[1] != self.n_in:
@@ -90,41 +82,28 @@ class DecoderLayer(Module):
 
 
 class MeshRegressor(Module):
-    def __init__(self, cfg, n0, c_in, rng, dtype=np.float32, use_pos_emb=True):
+    def __init__(self, cfg, n0, c_in, rng, use_pos_emb=True):
         if n0 < 1:
             raise ValueError(f"input token count must be >= 1, got {n0}")
-        self.cfg = cfg
         self.n0 = n0
         self.c_in = c_in
         self.layers = []
         n_prev, c_prev = n0, c_in
         for nk, dk, mk, ck in zip(cfg.n, cfg.d, cfg.m, cfg.c):
-            self.layers.append(DecoderLayer(n_prev, c_prev, ck, nk, mk, cfg.heads, dk, rng, dtype,
+            self.layers.append(DecoderLayer(n_prev, c_prev, ck, nk, mk, cfg.heads, dk, rng,
                                             use_pos_emb=use_pos_emb))
             n_prev, c_prev = dk, ck
-        self.head = Affine(cfg.c[-1], 3, rng, dtype)
+        self.head = Affine(cfg.c[-1], 3, rng)
 
     def __call__(self, tokens):
         if tokens.ndim != 3 or tokens.shape[1] != self.n0 or tokens.shape[2] != self.c_in:
             raise ValueError(
                 f"regressor built for (B, {self.n0}, {self.c_in}) tokens, got {tokens.shape}"
             )
-        token_trace = [tokens.shape[1]]
-        channel_trace = [tokens.shape[2]]
         x = tokens
         for layer in self.layers:
             x = layer(x)
-            token_trace.append(x.shape[1])
-            channel_trace.append(x.shape[2])
         vertices = self.head(x)
-        want_tokens = [self.n0] + list(self.cfg.d)
-        if token_trace != want_tokens:
-            raise RuntimeError(f"token trace {token_trace} diverged from schedule {want_tokens}")
-        want_channels = [self.c_in] + list(self.cfg.c)
-        if channel_trace != want_channels:
-            raise RuntimeError(f"channel trace {channel_trace} diverged from {want_channels}")
-        if vertices.shape[1:] != (NUM_VERTICES, 3):
-            raise RuntimeError(f"vertex output {vertices.shape} is not (B, {NUM_VERTICES}, 3)")
         if not np.isfinite(vertices.data).all():
             raise FloatingPointError("non-finite vertex output")
-        return MeshOutput(vertices=vertices, token_trace=token_trace, channel_trace=channel_trace)
+        return vertices

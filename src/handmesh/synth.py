@@ -305,33 +305,33 @@ def project(points, camera):
     return s * pts[..., :2] + np.array([tx, ty])
 
 
-def fit_camera(V, rng, size=IMAGE_SIZE, safe=8.0):
+def fit_camera(V, rng):
     """Scale/translate so every projected vertex lands inside the image
     with a margin, with bounded random zoom and shift."""
     xy = V[:, :2]
     lo, hi = xy.min(axis=0), xy.max(axis=0)
     span = float(max(hi[0] - lo[0], hi[1] - lo[1], 1e-6))
-    s = (size - 2 * 20.0) / span * rng.uniform(0.75, 1.0)
+    s = (IMAGE_SIZE - 2 * 20.0) / span * rng.uniform(0.75, 1.0)
     center = 0.5 * (lo + hi)
-    t = size / 2.0 - s * center
-    free = (size - 2 * safe) - s * (hi - lo)
+    t = IMAGE_SIZE / 2.0 - s * center
+    free = (IMAGE_SIZE - 2 * 8.0) - s * (hi - lo)  # the shift keeps an 8 px border
     shift = rng.uniform(-0.5, 0.5, size=2) * np.maximum(free, 0.0)
     return np.array([s, t[0] + shift[0], t[1] + shift[1]])
 
 
-def render_input(J_2d, V_2d, size=IMAGE_SIZE, sigma=HEATMAP_SIGMA, out=None):
+def render_input(J_2d, V_2d, out=None):
     """22 channels in [0, 1]: 21 unit-peak Gaussian heatmaps at the 2D
     joints plus one soft silhouette from binned projected vertices. Values
     are computed in float64, then cast into every element of `out` if given."""
     if out is None:
-        out = np.empty((NUM_JOINTS + 1, size, size))
-    grid = np.arange(size, dtype=np.float64)
-    gx = np.exp(-0.5 * ((grid - J_2d[:, 0:1]) / sigma) ** 2)
-    gy = np.exp(-0.5 * ((grid - J_2d[:, 1:2]) / sigma) ** 2)
+        out = np.empty((NUM_JOINTS + 1, IMAGE_SIZE, IMAGE_SIZE))
+    grid = np.arange(IMAGE_SIZE, dtype=np.float64)
+    gx = np.exp(-0.5 * ((grid - J_2d[:, 0:1]) / HEATMAP_SIGMA) ** 2)
+    gy = np.exp(-0.5 * ((grid - J_2d[:, 1:2]) / HEATMAP_SIGMA) ** 2)
     np.multiply(gy[:, :, None], gx[:, None, :], out=out[:NUM_JOINTS])
-    counts = np.zeros((size, size))
-    ix = np.clip(V_2d[:, 0].round().astype(int), 0, size - 1)
-    iy = np.clip(V_2d[:, 1].round().astype(int), 0, size - 1)
+    counts = np.zeros((IMAGE_SIZE, IMAGE_SIZE))
+    ix = np.clip(V_2d[:, 0].round().astype(int), 0, IMAGE_SIZE - 1)
+    iy = np.clip(V_2d[:, 1].round().astype(int), 0, IMAGE_SIZE - 1)
     np.add.at(counts, (iy, ix), 1.0)
     blur = gaussian_filter(counts, sigma=3.0)
     peak = blur.max()

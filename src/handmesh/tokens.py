@@ -65,29 +65,13 @@ def expected_tokens(cfg):
     return COARSE_TOKENS
 
 
-@dataclass
-class KeypointPrediction:
-    heatmaps: Tensor  # (B, 21, Hf, Wf), each map sums to 1
-    coords: Tensor  # (B, 21, 2) full-image pixel coordinates
-
-
-@dataclass
-class TokenSet:
-    tokens: Tensor  # (B, N, C)
-    variant: str
-
-    @property
-    def n_tokens(self):
-        return self.tokens.shape[1]
-
-
 def _tent(k, stride):
     """The k taps of the linear-interpolation (tent) filter at this stride."""
     taps = np.arange(k, dtype=np.float64)
     return np.maximum(0.0, 1.0 - np.abs(taps + 0.5 - k / 2.0) / stride)
 
 
-def _add_smoothing_passthrough(conv, gain=1.4):
+def _add_smoothing_passthrough(conv):
     """Re-init matched channels of a conv as per-channel smoothing kernels.
 
     Keeps input geometry (blob centroids in particular) linearly decodable
@@ -97,7 +81,7 @@ def _add_smoothing_passthrough(conv, gain=1.4):
     tent filter adjoint to bilinear upsampling, so its centroid matches the
     half-pixel grid alignment the coordinate mapping assumes. Channels
     beyond the input width keep their random init and supply learnable
-    mixtures. gain slightly above 1 counters blur dilution.
+    mixtures. A gain of 1.4, slightly above 1, counters blur dilution.
     """
     w = conv.weight.data
     cout, cin, k, _ = w.shape
@@ -109,7 +93,7 @@ def _add_smoothing_passthrough(conv, gain=1.4):
         kern = np.outer(t, t).astype(w.dtype)
     for j in range(min(cin, cout)):
         w[j] = 0.0
-        w[j, j] = gain * kern
+        w[j, j] = 1.4 * kern
 
 
 def _add_bilinear_passthrough(tconv, stride):
@@ -130,11 +114,11 @@ class ToyBackbone(Module):
     half-pixel alignment the coordinate mapping assumes.
     """
 
-    def __init__(self, c_in, rng, dtype=np.float32):
+    def __init__(self, c_in, rng):
         self.stages = []
         prev = c_in
         for w in BACKBONE_WIDTHS:
-            stage = Conv2d(prev, w, 4, rng, stride=2, padding=1, dtype=dtype)
+            stage = Conv2d(prev, w, 4, rng, stride=2, padding=1)
             _add_smoothing_passthrough(stage)
             self.stages.append(stage)
             prev = w
@@ -151,23 +135,23 @@ class ToyBackbone(Module):
 class FeatureUpsampler(Module):
     """Implements the upsample schemes; channel width is preserved."""
 
-    def __init__(self, scheme, channels, rng, dtype=np.float32):
+    def __init__(self, scheme, channels, rng):
         self.scheme = scheme
         self.steps = []
         if scheme == "single-2x":
-            self._add_tconv(channels, 4, 2, 1, rng, dtype)
+            self._add_tconv(channels, 4, 2, 1, rng)
         elif scheme == "single-4x":
-            self._add_tconv(channels, 8, 4, 2, rng, dtype)
+            self._add_tconv(channels, 8, 4, 2, rng)
         elif scheme in ("double-2x", "4x-with-extra-convs"):
             for _ in range(2):
-                self._add_tconv(channels, 4, 2, 1, rng, dtype)
+                self._add_tconv(channels, 4, 2, 1, rng)
                 if scheme == "4x-with-extra-convs":
-                    conv = Conv2d(channels, channels, 3, rng, stride=1, padding=1, dtype=dtype)
+                    conv = Conv2d(channels, channels, 3, rng, stride=1, padding=1)
                     _add_smoothing_passthrough(conv)
                     self.steps.append(("conv", conv))
 
-    def _add_tconv(self, channels, k, stride, padding, rng, dtype):
-        tconv = ConvTranspose2d(channels, channels, k, rng, stride=stride, padding=padding, dtype=dtype)
+    def _add_tconv(self, channels, k, stride, padding, rng):
+        tconv = ConvTranspose2d(channels, channels, k, rng, stride=stride, padding=padding)
         _add_bilinear_passthrough(tconv, stride)
         self.steps.append(("tconv", tconv))
 
@@ -199,7 +183,7 @@ def soft_argmax_2d(logits, image_size=224):
 
 
 def sample_tokens(feat, cfg, kp_coords=None, coarse_coords=None, image_size=224):
-    """Pool, enumerate, or point-sample the feature map into a TokenSet.
+    """Pool, enumerate, or point-sample the feature map into (B, N, C) tokens.
 
     feat: (B, C, Hf, Wf); kp_coords / coarse_coords in full-image pixels.
     """
@@ -215,27 +199,28 @@ def sample_tokens(feat, cfg, kp_coords=None, coarse_coords=None, image_size=224)
         if coords is None:
             raise ValueError(f"{cfg.variant} sampling needs predicted coordinates")
         tokens = ag.bilinear_sample(feat, feature_coords_from_image(coords, image_size / w))
-    n = expected_tokens(cfg)
-    if tokens.shape != (b, n, c):
-        raise RuntimeError(f"token count law violated: {tokens.shape} vs N={n}")
     if not np.isfinite(tokens.data).all():
         raise FloatingPointError("non-finite token values")
-    return TokenSet(tokens=tokens, variant=cfg.variant)
+    return tokens
 
 
 class TokenGenerator(Module):
-    """Backbone + upsampler + keypoint head(s) + the configured sampler."""
+    """Backbone + upsampler + keypoint head(s) + the configured sampler.
 
-    def __init__(self, cfg, c_in, rng, dtype=np.float32):
+    Returns the (B, N, C) tokens and the (B, 21, 2) keypoint coordinates in
+    full-image pixels.
+    """
+
+    def __init__(self, cfg, c_in, rng):
         self.cfg = cfg
-        self.backbone = ToyBackbone(c_in, rng, dtype=dtype)
-        self.upsampler = FeatureUpsampler(cfg.upsample_scheme, self.backbone.out_channels, rng, dtype=dtype)
+        self.backbone = ToyBackbone(c_in, rng)
+        self.upsampler = FeatureUpsampler(cfg.upsample_scheme, self.backbone.out_channels, rng)
         # coordinate heads start at zero: uniform heatmaps keep the
         # soft-argmax mobile while supervision shapes them
-        self.kp_head = Conv2d(self.backbone.out_channels, NUM_KEYPOINTS, 1, rng, dtype=dtype)
+        self.kp_head = Conv2d(self.backbone.out_channels, NUM_KEYPOINTS, 1, rng)
         self.kp_head.weight.data[:] = 0.0
         if cfg.variant == "coarse_mesh":
-            self.coarse_head = Conv2d(self.backbone.out_channels, COARSE_TOKENS, 1, rng, dtype=dtype)
+            self.coarse_head = Conv2d(self.backbone.out_channels, COARSE_TOKENS, 1, rng)
             self.coarse_head.weight.data[:] = 0.0
 
     @property
@@ -245,11 +230,10 @@ class TokenGenerator(Module):
     def __call__(self, image):
         image_size = image.shape[-1]
         feat = self.upsampler(self.backbone(image))
-        heatmaps, kp_coords = soft_argmax_2d(self.kp_head(feat), image_size)
-        kp = KeypointPrediction(heatmaps=heatmaps, coords=kp_coords)
+        _, kp_coords = soft_argmax_2d(self.kp_head(feat), image_size)
         coarse_coords = None
         if self.cfg.variant == "coarse_mesh":
             _, coarse_coords = soft_argmax_2d(self.coarse_head(feat), image_size)
         tokens = sample_tokens(feat, self.cfg, kp_coords=kp_coords,
                                coarse_coords=coarse_coords, image_size=image_size)
-        return tokens, kp
+        return tokens, kp_coords

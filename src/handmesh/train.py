@@ -18,6 +18,8 @@ from .model import HandMeshModel
 from .optim import AdamW, lr_at_step
 from .rng import substream
 
+LOSS_BATCH = 16  # batch size of dataset_loss's gradient-free forwards
+
 
 @dataclass
 class RunArtifacts:
@@ -28,15 +30,15 @@ class RunArtifacts:
     final_loss: float
 
 
-def dataset_loss(model, ds, assets, weights, batch_size=16):
+def dataset_loss(model, ds, assets, weights):
     """Mean total loss over the whole dataset, no gradient recording.
 
     Used for the before/after convergence ratio so it never depends on
     which batch happened to be drawn at step 0 or at the last step.
     """
     totals = []
-    for start in range(0, len(ds), batch_size):
-        idxs = np.arange(start, min(start + batch_size, len(ds)))
+    for start in range(0, len(ds), LOSS_BATCH):
+        idxs = np.arange(start, min(start + LOSS_BATCH, len(ds)))
         batch = ds.batch(idxs)
         out = model(Tensor(batch["input"]))
         bd = total_loss(out.vertices, batch["V_3d"], out.keypoints_2d,
@@ -46,8 +48,9 @@ def dataset_loss(model, ds, assets, weights, batch_size=16):
 
 
 def build_model(cfg, dtype=np.float32):
-    return HandMeshModel(cfg.sampler, cfg.decoder, seed=cfg.seed, dtype=dtype,
-                         use_pos_emb=cfg.use_pos_emb)
+    """Build the model in float32 and cast it to `dtype`."""
+    return HandMeshModel(cfg.sampler, cfg.decoder, seed=cfg.seed,
+                         use_pos_emb=cfg.use_pos_emb).astype(dtype)
 
 
 def _dump_abort(cfg, step, idxs, breakdown=None, reason="non-finite loss"):
@@ -107,12 +110,12 @@ def train(cfg):
                         initial_loss=initial, final_loss=final)
 
 
-def load_trained_model(run_dir, dtype=np.float32):
+def load_trained_model(run_dir):
     """Rebuild the model from a run directory's config snapshot + checkpoint."""
     from .config import ExperimentConfig
 
     cfg = ExperimentConfig.load(os.path.join(run_dir, "config.json"))
-    model = build_model(cfg, dtype=dtype)
+    model = build_model(cfg)
     state, _ = dataio.load_checkpoint(os.path.join(run_dir, "checkpoint.bin"))
     model.load_state_dict(state)
     return model, cfg

@@ -15,6 +15,7 @@ from handmesh.cli import main
 from handmesh.config import ExperimentConfig
 from handmesh.evaluate import evaluate, reaggregate_csv
 from handmesh.model import ModelOutput
+from handmesh.tokens import SamplerConfig
 from handmesh.train import build_model, load_trained_model, train
 from handmesh.autograd import Tensor
 
@@ -47,8 +48,7 @@ class OracleModel:
         sl = slice(self.cursor, self.cursor + n)
         self.cursor += n
         return ModelOutput(vertices=Tensor(np.stack(self.v[sl]).astype(np.float64)),
-                           keypoints_2d=Tensor(np.stack(self.k[sl]).astype(np.float64)),
-                           token_trace=[])
+                           keypoints_2d=Tensor(np.stack(self.k[sl]).astype(np.float64)))
 
 
 class TestConfig:
@@ -89,6 +89,19 @@ class TestGenDataCli:
         assert err.startswith("error:") and "\n" not in err
 
 
+class TestBuildModel:
+    @pytest.mark.parametrize("sampler", [SamplerConfig(), SamplerConfig("global", 7, "none")],
+                             ids=["paper", "global"])
+    def test_float64_build_is_the_float32_build_cast(self, sampler):
+        cfg = ExperimentConfig(sampler=sampler, seed=4)
+        want = build_model(cfg).state_dict()
+        got = build_model(cfg, np.float64).state_dict()
+        assert got.keys() == want.keys()
+        for name, arr in got.items():
+            assert arr.dtype == np.float64
+            assert np.array_equal(arr, want[name].astype(np.float64)), name
+
+
 class TestTrain:
     def test_zero_steps_checkpoint_equals_initialization(self, small_dataset, tmp_path):
         cfg = tiny_config(small_dataset, tmp_path / "run", total_steps=0)
@@ -118,6 +131,7 @@ class TestTrain:
                       + 10.0 * float(row["L_vert"]))
             assert abs(float(row["total"]) - recomb) < 1e-10
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # lr 1e12 overflows on purpose
     def test_nonfinite_loss_aborts_with_dump(self, small_dataset, tmp_path):
         cfg = tiny_config(small_dataset, tmp_path / "run", total_steps=30, lr=1e12)
         with pytest.raises(RuntimeError, match="non-finite"):

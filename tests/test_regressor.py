@@ -85,8 +85,8 @@ class TestDecoderConfig:
 
 class TestDecoderLayer:
     def _layer(self, seed, n_in=5, c_in=6, c_out=6, n_blocks=0, d_out=9, mixer="identity"):
-        return DecoderLayer(n_in, c_in, c_out, n_blocks, mixer, 2, d_out, substream(seed, "layer"),
-                            dtype=np.float64)
+        return DecoderLayer(n_in, c_in, c_out, n_blocks, mixer, 2, d_out,
+                            substream(seed, "layer")).astype(np.float64)
 
     def test_reduce_identity_weights_pass_tokens_through(self):
         layer = self._layer(0)
@@ -164,7 +164,7 @@ class TestDecoderLayer:
 
 class TestMetaformerBlock:
     def test_identity_mixer_with_zeroed_mlp_is_x_plus_layernorm(self):
-        block = MetaformerBlock(6, "identity", 2, substream(16, "blk"), dtype=np.float64)
+        block = MetaformerBlock(6, "identity", 2, substream(16, "blk")).astype(np.float64)
         zero_params(block.mlp)
         x = substream(17, "x").normal(size=(2, 5, 6))
         got = block(Tensor(x)).data
@@ -172,7 +172,7 @@ class TestMetaformerBlock:
         assert np.abs(got - want).max() < 1e-12
 
     def test_single_token_attention_is_value_then_output_projection(self):
-        attn = SelfAttention(8, 4, substream(18, "attn"), dtype=np.float64)
+        attn = SelfAttention(8, 4, substream(18, "attn")).astype(np.float64)
         x = substream(19, "x").normal(size=(3, 1, 8))
         v = x @ attn.qkv.weight.data[:, 16:] + attn.qkv.bias.data[16:]
         want = v @ attn.proj.weight.data + attn.proj.bias.data
@@ -181,7 +181,7 @@ class TestMetaformerBlock:
 
     @pytest.mark.parametrize("heads", [1, 2, 4])
     def test_attention_matches_direct_oracle(self, heads):
-        attn = SelfAttention(8, heads, substream(20, "attn"), dtype=np.float64)
+        attn = SelfAttention(8, heads, substream(20, "attn")).astype(np.float64)
         x = substream(21, "x").normal(size=(2, 4, 8))
         want = attention_oracle(x, attn.qkv.weight.data, attn.qkv.bias.data,
                                 attn.proj.weight.data, attn.proj.bias.data, heads)
@@ -193,7 +193,7 @@ class TestMetaformerBlock:
             SelfAttention(6, 4, substream(22, "attn"))
 
     def test_attention_block_is_permutation_equivariant(self):
-        block = MetaformerBlock(8, "attn", 2, substream(23, "blk"), dtype=np.float64)
+        block = MetaformerBlock(8, "attn", 2, substream(23, "blk")).astype(np.float64)
         x = substream(24, "x").normal(size=(1, 6, 8))
         perm = substream(25, "perm").permutation(6)
         direct = block(Tensor(x[:, perm])).data
@@ -201,7 +201,7 @@ class TestMetaformerBlock:
         assert np.abs(direct - permuted).max() < 1e-10
 
     def test_nonzero_position_embedding_breaks_equivariance(self):
-        block = MetaformerBlock(8, "attn", 2, substream(26, "blk"), dtype=np.float64)
+        block = MetaformerBlock(8, "attn", 2, substream(26, "blk")).astype(np.float64)
         emb = substream(27, "emb").normal(size=(6, 8))
         x = substream(28, "x").normal(size=(1, 6, 8))
         perm = substream(29, "perm").permutation(6)
@@ -215,23 +215,25 @@ class TestMetaformerBlock:
 class TestMeshRegressor:
     def test_paper_config_trace(self):
         reg = MeshRegressor(paper_decoder_config(), 21, 64, substream(30, "reg"))
-        out = reg(Tensor(np.random.default_rng(0).normal(size=(2, 21, 64)).astype(np.float32)))
-        assert out.vertices.shape == (2, 778, 3)
-        assert out.token_trace == [21, 84, 336, 778]
-        assert out.channel_trace == [64, 256, 128, 64]
+        x = Tensor(np.random.default_rng(0).normal(size=(2, 21, 64)).astype(np.float32))
+        shapes = []
+        for layer in reg.layers:
+            x = layer(x)
+            shapes.append(x.shape)
+        assert shapes == [(2, 84, 256), (2, 336, 128), (2, 778, 64)]
+        assert reg.head(x).shape == (2, 778, 3)
 
     def test_single_layer_identity_baseline(self):
         cfg = DecoderConfig(k=1, n=[1], d=[778], m=["identity"], c=[64])
         reg = MeshRegressor(cfg, 1, 64, substream(31, "reg"))
         out = reg(Tensor(np.zeros((1, 1, 64), dtype=np.float32)))
-        assert out.vertices.shape == (1, 778, 3)
-        assert out.token_trace == [1, 778]
+        assert out.shape == (1, 778, 3)
 
     def test_zero_network_emits_origin(self):
-        reg = MeshRegressor(paper_decoder_config(), 21, 64, substream(32, "reg"), dtype=np.float64)
+        reg = MeshRegressor(paper_decoder_config(), 21, 64, substream(32, "reg")).astype(np.float64)
         zero_params(reg)
         out = reg(Tensor(np.zeros((1, 21, 64))))
-        assert np.all(out.vertices.data == 0.0)
+        assert np.all(out.data == 0.0)
 
     def test_nan_guard_survives_optimized_mode(self):
         # `python -O` strips assert statements; the non-finite check must still raise
@@ -264,16 +266,16 @@ class TestMeshRegressor:
     def test_forward_is_deterministic(self):
         reg = MeshRegressor(paper_decoder_config(), 21, 64, substream(34, "reg"))
         x = Tensor(np.random.default_rng(1).normal(size=(1, 21, 64)).astype(np.float32))
-        assert np.array_equal(reg(x).vertices.data, reg(x).vertices.data)
+        assert np.array_equal(reg(x).data, reg(x).data)
 
     def test_end_to_end_parameter_finite_differences(self):
         cfg = DecoderConfig(k=2, n=[1, 1], d=[84, 778], m=["attn", "attn"], c=[16, 8], heads=2)
-        reg = MeshRegressor(cfg, 5, 6, substream(35, "reg"), dtype=np.float64)
+        reg = MeshRegressor(cfg, 5, 6, substream(35, "reg")).astype(np.float64)
         x = Tensor(substream(36, "x").normal(size=(1, 5, 6)))
 
         def fn(*_):
             out = reg(x)
-            return ag.sum_(ag.mul(out.vertices, out.vertices))
+            return ag.sum_(ag.mul(out, out))
 
         rng = np.random.default_rng(2)
         params = [p for _, p in reg.named_parameters()]

@@ -117,7 +117,7 @@ class TestToyBackbone:
         assert np.all(out.data == 0.0)
 
     def test_weight_gradients_finite_difference(self):
-        bb = ToyBackbone(2, substream(2, "bb"), dtype=np.float64)
+        bb = ToyBackbone(2, substream(2, "bb")).astype(np.float64)
         x = substream(3, "x").normal(size=(1, 2, 32, 32))
 
         def fn(*_):
@@ -135,7 +135,7 @@ class TestFeatureUpsampler:
         return Tensor(substream(seed, "feat").normal(size=(2, c, res, res)))
 
     def test_scheme_none_is_identity(self):
-        up = FeatureUpsampler("none", 6, substream(0, "up"), dtype=np.float64)
+        up = FeatureUpsampler("none", 6, substream(0, "up")).astype(np.float64)
         x = self._x(1)
         out = up(x)
         assert np.array_equal(out.data, x.data)
@@ -144,11 +144,11 @@ class TestFeatureUpsampler:
         ("single-2x", 14), ("single-4x", 28), ("double-2x", 28), ("4x-with-extra-convs", 28),
     ])
     def test_output_resolutions(self, scheme, out_res):
-        up = FeatureUpsampler(scheme, 6, substream(2, "up"), dtype=np.float64)
+        up = FeatureUpsampler(scheme, 6, substream(2, "up")).astype(np.float64)
         assert up(self._x(3)).shape == (2, 6, out_res, out_res)
 
     def test_double_2x_matches_explicit_composition(self):
-        up = FeatureUpsampler("double-2x", 6, substream(4, "up"), dtype=np.float64)
+        up = FeatureUpsampler("double-2x", 6, substream(4, "up")).astype(np.float64)
         x = self._x(5)
         mid = ag.conv_transpose2d(x, up.steps[0][1].weight, up.steps[0][1].bias,
                                   stride=2, padding=1)
@@ -162,8 +162,8 @@ class TestFeatureUpsampler:
     def test_extra_convs_scheme_is_nonlinear(self):
         # with zero biases a purely linear scheme is odd: f(-x) == -f(x).
         # The interleaved ReLUs must break that symmetry.
-        up = FeatureUpsampler("4x-with-extra-convs", 4, substream(6, "up"), dtype=np.float64)
-        lin = FeatureUpsampler("double-2x", 4, substream(6, "lin"), dtype=np.float64)
+        up = FeatureUpsampler("4x-with-extra-convs", 4, substream(6, "up")).astype(np.float64)
+        lin = FeatureUpsampler("double-2x", 4, substream(6, "lin")).astype(np.float64)
         x = self._x(7, c=4)
         neg = Tensor(-x.data)
         assert np.allclose(lin(neg).data, -lin(x).data, atol=1e-12)
@@ -219,16 +219,16 @@ class TestSampleTokens:
     def test_global_constant_map(self):
         cfg = SamplerConfig("global", 7, "none")
         feat = Tensor(np.full((2, 5, 7, 7), 3.25))
-        ts = sample_tokens(feat, cfg)
-        assert ts.tokens.shape == (2, 1, 5)
-        assert np.all(ts.tokens.data == 3.25)
+        tokens = sample_tokens(feat, cfg)
+        assert tokens.shape == (2, 1, 5)
+        assert np.all(tokens.data == 3.25)
 
     def test_grid_enumeration_reproduces_feature_map(self):
         cfg = SamplerConfig("grid", 7, "none")
         feat = substream(10, "feat").normal(size=(2, 5, 7, 7))
-        ts = sample_tokens(Tensor(feat), cfg)
-        assert ts.tokens.shape == (2, 49, 5)
-        back = ts.tokens.data.transpose(0, 2, 1).reshape(2, 5, 7, 7)
+        tokens = sample_tokens(Tensor(feat), cfg)
+        assert tokens.shape == (2, 49, 5)
+        back = tokens.data.transpose(0, 2, 1).reshape(2, 5, 7, 7)
         assert np.array_equal(back, feat)
 
     def test_keypoint_integer_lattice_hits_exact_pixels(self):
@@ -237,19 +237,19 @@ class TestSampleTokens:
         feat = rng.normal(size=(1, 4, 28, 28))
         cells = rng.integers(0, 28, size=(1, 21, 2))  # (x, y) feature cells
         coords_img = (cells + 0.5) * 8.0 - 0.5
-        ts = sample_tokens(Tensor(feat), cfg, kp_coords=Tensor(coords_img))
+        tokens = sample_tokens(Tensor(feat), cfg, kp_coords=Tensor(coords_img))
         want = feat[0, :, cells[0, :, 1], cells[0, :, 0]]
-        assert np.abs(ts.tokens.data[0] - want).max() < 1e-12
+        assert np.abs(tokens.data[0] - want).max() < 1e-12
 
     def test_keypoint_fractional_matches_corner_oracle(self):
         cfg = SamplerConfig("keypoint", 14, "single-2x")
         rng = substream(12, "feat")
         feat = rng.normal(size=(2, 6, 14, 14))
         coords_img = rng.uniform(0, 223, size=(2, 21, 2))
-        ts = sample_tokens(Tensor(feat), cfg, kp_coords=Tensor(coords_img))
+        tokens = sample_tokens(Tensor(feat), cfg, kp_coords=Tensor(coords_img))
         coords_f = (coords_img + 0.5) / 16.0 - 0.5
         want = bilinear_oracle(feat, coords_f)
-        rel = np.abs(ts.tokens.data - want).max() / np.abs(want).max()
+        rel = np.abs(tokens.data - want).max() / np.abs(want).max()
         assert rel < 1e-12
 
     def test_far_pixel_invariance_is_exact(self):
@@ -258,10 +258,10 @@ class TestSampleTokens:
         feat = rng.normal(size=(1, 4, 28, 28))
         # keep every sampled neighborhood inside the left half of the map
         coords_img = rng.uniform(0, 80, size=(1, 21, 2))
-        base = sample_tokens(Tensor(feat), cfg, kp_coords=Tensor(coords_img)).tokens.data
+        base = sample_tokens(Tensor(feat), cfg, kp_coords=Tensor(coords_img)).data
         poked = feat.copy()
         poked[:, :, :, 20:] += rng.normal(size=(1, 4, 28, 8))  # far columns only
-        again = sample_tokens(Tensor(poked), cfg, kp_coords=Tensor(coords_img)).tokens.data
+        again = sample_tokens(Tensor(poked), cfg, kp_coords=Tensor(coords_img)).data
         assert np.array_equal(base, again)
 
     def test_coarse_mesh_needs_coords_and_counts_98(self):
@@ -270,8 +270,8 @@ class TestSampleTokens:
         with pytest.raises(ValueError):
             sample_tokens(feat, cfg)
         coords = Tensor(np.full((1, COARSE_TOKENS, 2), 100.0))
-        ts = sample_tokens(feat, cfg, coarse_coords=coords)
-        assert ts.tokens.shape == (1, COARSE_TOKENS, 4)
+        tokens = sample_tokens(feat, cfg, coarse_coords=coords)
+        assert tokens.shape == (1, COARSE_TOKENS, 4)
 
     def test_resolution_mismatch_rejected(self):
         cfg = SamplerConfig("keypoint", 28, "double-2x")
@@ -286,8 +286,8 @@ class TestSampleTokens:
         coords = Tensor(rng.uniform(40, 180, size=(1, 21, 2)), requires_grad=True)
 
         def fn(c):
-            ts = sample_tokens(feat, cfg, kp_coords=c)
-            return ag.sum_(ag.mul(ts.tokens, ts.tokens))
+            tokens = sample_tokens(feat, cfg, kp_coords=c)
+            return ag.sum_(ag.mul(tokens, tokens))
 
         assert fd_gradcheck(fn, [coords]) < 1e-3
 
@@ -308,11 +308,10 @@ class TestTokenGenerator:
     def test_forward_obeys_token_count_law(self, variant, res, scheme):
         cfg = SamplerConfig(variant, res, scheme)
         gen = TokenGenerator(cfg, 5, substream(15, "gen"))
-        ts, kp = gen(self._image(16))
-        assert ts.tokens.shape == (1, expected_tokens(cfg), 64)
-        assert kp.heatmaps.shape == (1, NUM_KEYPOINTS, res, res)
-        assert kp.coords.shape == (1, NUM_KEYPOINTS, 2)
-        assert np.isfinite(ts.tokens.data).all()
+        tokens, kp_coords = gen(self._image(16))
+        assert tokens.shape == (1, expected_tokens(cfg), 64)
+        assert kp_coords.shape == (1, NUM_KEYPOINTS, 2)
+        assert np.isfinite(tokens.data).all()
 
     def test_forward_is_deterministic(self):
         cfg = SamplerConfig("keypoint", 28, "double-2x")
@@ -320,14 +319,14 @@ class TestTokenGenerator:
         img = self._image(18)
         a, _ = gen(img)
         b, _ = gen(img)
-        assert np.array_equal(a.tokens.data, b.tokens.data)
+        assert np.array_equal(a.data, b.data)
 
     def test_gradient_flows_into_keypoint_head(self):
         cfg = SamplerConfig("keypoint", 14, "single-2x")
-        gen = TokenGenerator(cfg, 3, substream(19, "gen"), dtype=np.float64)
+        gen = TokenGenerator(cfg, 3, substream(19, "gen")).astype(np.float64)
         img = Tensor(substream(20, "img").normal(size=(1, 3, 224, 224)))
         with Tape() as tape:
-            ts, _ = gen(img)
-            tape.backward(ag.sum_(ag.mul(ts.tokens, ts.tokens)))
+            tokens, _ = gen(img)
+            tape.backward(ag.sum_(ag.mul(tokens, tokens)))
         g = gen.kp_head.weight.grad
         assert g is not None and np.abs(g).sum() > 0.0

@@ -34,15 +34,18 @@ def expand_grid(grid):
     return [dict(zip(axes, combo)) for combo in itertools.product(*(grid[a] for a in axes))]
 
 
+def _spell(value):
+    """Filesystem-safe text for a cell value: every field of a dict, in key
+    order, as key=value joined by commas; list items joined by dashes."""
+    if isinstance(value, dict):
+        return ",".join(f"{k}={_spell(value[k])}" for k in sorted(value))
+    if isinstance(value, (list, tuple)):
+        return "-".join(_spell(v) for v in value)
+    return str(value)
+
+
 def cell_id(cell):
-    parts = []
-    for axis, value in cell.items():
-        if axis == "sampler":
-            value = value.get("variant", "?") if isinstance(value, dict) else value
-        elif axis == "decoder":
-            value = f"k{value.get('k', '?')}" if isinstance(value, dict) else value
-        parts.append(f"{axis}={value}")
-    return "|".join(parts)
+    return "|".join(f"{axis}={_spell(value)}" for axis, value in cell.items())
 
 
 def apply_cell(base_cfg, cell):

@@ -32,8 +32,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
-        self.data = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad=False):
+        self.data = np.asarray(data)
         self.requires_grad = bool(requires_grad)
         self.grad = None
 
@@ -55,51 +55,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
-
-    # operator sugar; all route through the module-level primitives
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other, self.dtype), self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __getitem__(self, key):
-        return getitem(self, key)
-
-    def sum(self, axis=None, keepdims=False):
-        return sum_(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean(self, axis=axis, keepdims=keepdims)
-
-    def abs(self):
-        return abs_(self)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        return transpose(self, axes)
 
 
 class Tape:
@@ -161,10 +116,7 @@ def _accum(t, g):
     if not t.requires_grad:
         return
     g = np.asarray(g, dtype=t.data.dtype)
-    if t.grad is None:
-        t.grad = g.copy()
-    else:
-        t.grad += g
+    t.grad = g if t.grad is None else t.grad + g
 
 
 def _unbroadcast(g, shape):
@@ -272,8 +224,8 @@ def reshape(x, shape):
     return out
 
 
-def transpose(x, axes=None):
-    axes = tuple(axes) if axes else tuple(range(x.ndim - 1, -1, -1))
+def transpose(x, axes):
+    axes = tuple(axes)
     out = Tensor(np.ascontiguousarray(x.data.transpose(axes)), requires_grad=_wants_grad(x))
     inv = np.argsort(axes)
 

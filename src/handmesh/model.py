@@ -22,8 +22,6 @@ class HandMeshModel(Module):
         sampler_cfg = sampler_cfg or SamplerConfig()
         decoder_cfg = decoder_cfg or paper_decoder_config()
         rng = substream(seed, "model-init")
-        self.sampler_cfg = sampler_cfg
-        self.decoder_cfg = decoder_cfg
         self.tokens = TokenGenerator(sampler_cfg, INPUT_CHANNELS, rng)
         self.regressor = MeshRegressor(
             decoder_cfg, expected_tokens(sampler_cfg), self.tokens.out_channels, rng,

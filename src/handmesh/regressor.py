@@ -62,7 +62,6 @@ class DecoderLayer(Module):
 
     def __init__(self, n_in, c_in, c_out, n_blocks, mixer, heads, d_out, rng, use_pos_emb=True):
         self.n_in = n_in
-        self.d_out = d_out
         self.reduce = Affine(c_in, c_out, rng)
         # zero start keeps the block stack permutation-equivariant at init
         self.pos_emb = Tensor(np.zeros((n_in, c_out), dtype=np.float32), requires_grad=True) if use_pos_emb else None

@@ -56,7 +56,6 @@ _ABDUCTION = 0.22
 @dataclass
 class TemplateMesh:
     vertices: np.ndarray  # (778, 3) mm
-    faces: np.ndarray  # (F, 3) int32, provenance only
 
 
 @dataclass
@@ -124,8 +123,6 @@ def _build_skeleton():
 
 def _build_mesh():
     verts = [_PALM_CENTER + _PALM_AXES * _fibonacci_sphere(_PALM_VERTS)]
-    faces = []
-    offset = _PALM_VERTS
     for _, mcp, d, lens, (r0, r1) in _FINGERS:
         d = np.asarray(d) / np.linalg.norm(d)
         mcp = np.asarray(mcp)
@@ -140,17 +137,9 @@ def _build_mesh():
             radius = r0 + (r1 - r0) * t
             ring = mcp + t * length * d + radius * (np.outer(np.cos(ang), u) + np.outer(np.sin(ang), w))
             verts.append(ring)
-        for r in range(_RINGS_PER_FINGER - 1):
-            a = offset + r * _VERTS_PER_RING
-            b = a + _VERTS_PER_RING
-            for i in range(_VERTS_PER_RING):
-                j = (i + 1) % _VERTS_PER_RING
-                faces.append((a + i, a + j, b + i))
-                faces.append((a + j, b + j, b + i))
-        offset += _RINGS_PER_FINGER * _VERTS_PER_RING
     vertices = np.concatenate(verts, axis=0)
     assert vertices.shape == (NUM_VERTICES, 3)
-    return TemplateMesh(vertices=vertices, faces=np.asarray(faces, dtype=np.int32))
+    return TemplateMesh(vertices=vertices)
 
 
 def _segment_distance(points, a, b):
@@ -286,12 +275,8 @@ def forward_kinematics(skeleton, pose):
 def skin(template, skeleton, weights, pose):
     """Linear blend skinning; output is root-centered (wrist at origin)."""
     R, t = forward_kinematics(skeleton, pose)
-    V = np.zeros_like(template.vertices)
-    for j in range(NUM_JOINTS):
-        w = weights.W[:, j]
-        if not w.any():
-            continue
-        V += w[:, None] * (template.vertices @ R[j].T + t[j])
+    W = weights.W
+    V = W @ t + np.einsum("vj,jab,vb->va", W, R, template.vertices, optimize=True)
     root = R[0] @ skeleton.joints[0] + t[0]
     return V - root
 

@@ -15,7 +15,7 @@ from . import autograd as ag
 from .autograd import Tensor
 from .nn import Conv2d, ConvTranspose2d, Module
 
-VARIANTS = ("global", "grid", "keypoint", "keypoint_enhanced", "coarse_mesh")
+VARIANTS = ("global", "grid", "keypoint", "coarse_mesh")
 SCHEMES = ("none", "single-2x", "single-4x", "double-2x", "4x-with-extra-convs")
 
 NUM_KEYPOINTS = 21
@@ -51,8 +51,6 @@ class SamplerConfig:
             )
         if self.variant in ("global", "grid") and (self.target_resolution != 7 or self.upsample_scheme != "none"):
             raise ValueError(f"{self.variant} sampling runs at resolution 7 with no upsampling")
-        if self.variant == "keypoint_enhanced" and self.upsample_scheme != "4x-with-extra-convs":
-            raise ValueError("keypoint_enhanced requires the 4x-with-extra-convs scheme")
 
 
 def expected_tokens(cfg):
@@ -60,7 +58,7 @@ def expected_tokens(cfg):
         return 1
     if cfg.variant == "grid":
         return cfg.target_resolution * cfg.target_resolution
-    if cfg.variant in ("keypoint", "keypoint_enhanced"):
+    if cfg.variant == "keypoint":
         return NUM_KEYPOINTS
     return COARSE_TOKENS
 
@@ -136,7 +134,6 @@ class FeatureUpsampler(Module):
     """Implements the upsample schemes; channel width is preserved."""
 
     def __init__(self, scheme, channels, rng):
-        self.scheme = scheme
         self.steps = []
         if scheme == "single-2x":
             self._add_tconv(channels, 4, 2, 1, rng)
@@ -168,7 +165,7 @@ def feature_coords_from_image(coords_img, stride):
 
 
 def soft_argmax_2d(logits, image_size=224):
-    """Spatial softmax + expectation: logits (B,K,H,W) -> (heatmaps, coords).
+    """Spatial softmax + expectation: logits (B,K,H,W) -> (B,K,2) coordinates.
 
     Coordinates are one expectation over the cell centers in full-image
     pixels, (x + 0.5) * stride - 0.5 per axis, so they always land strictly
@@ -179,7 +176,7 @@ def soft_argmax_2d(logits, image_size=224):
     ys, xs = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
     cells = np.stack([xs.reshape(-1), ys.reshape(-1)], axis=-1)
     centers = Tensor(((cells + 0.5) * (image_size / w) - 0.5).astype(logits.dtype))
-    return ag.reshape(p, (b, k, h, w)), ag.matmul(p, centers)
+    return ag.matmul(p, centers)
 
 
 def sample_tokens(feat, cfg, kp_coords=None, coarse_coords=None, image_size=224):
@@ -230,10 +227,10 @@ class TokenGenerator(Module):
     def __call__(self, image):
         image_size = image.shape[-1]
         feat = self.upsampler(self.backbone(image))
-        _, kp_coords = soft_argmax_2d(self.kp_head(feat), image_size)
+        kp_coords = soft_argmax_2d(self.kp_head(feat), image_size)
         coarse_coords = None
         if self.cfg.variant == "coarse_mesh":
-            _, coarse_coords = soft_argmax_2d(self.coarse_head(feat), image_size)
+            coarse_coords = soft_argmax_2d(self.coarse_head(feat), image_size)
         tokens = sample_tokens(feat, self.cfg, kp_coords=kp_coords,
                                coarse_coords=coarse_coords, image_size=image_size)
         return tokens, kp_coords

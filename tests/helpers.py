@@ -54,7 +54,7 @@ def attention_composed(qkv, heads):
     dh = c // heads
     qkv = ag.reshape(qkv, (b, n, 3, heads, dh))
     qkv = ag.transpose(qkv, (2, 0, 3, 1, 4))  # (3, B, heads, N, dh)
-    q, k, v = qkv[0], qkv[1], qkv[2]
+    q, k, v = (ag.getitem(qkv, i) for i in range(3))
     att = ag.matmul(q, ag.transpose(k, (0, 1, 3, 2)))
     att = ag.softmax(ag.mul(att, 1.0 / np.sqrt(dh)), axis=-1)
     y = ag.matmul(att, v)  # (B, heads, N, dh)

@@ -127,7 +127,7 @@ class TestMatmul:
         rng = np.random.default_rng(2)
         a = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
         b = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
-        err = fd_gradcheck(lambda a, b: ag.matmul(a, b).sum(), [a, b])
+        err = fd_gradcheck(lambda a, b: ag.sum_(ag.matmul(a, b)), [a, b])
         assert err < 1e-4
 
     def test_gradcheck_broadcast_batch(self):
@@ -191,6 +191,14 @@ class TestSoftmax:
         y = ag.softmax(Tensor(x), axis=1).data
         assert y.min() >= 0
         assert np.abs(y.sum(axis=1) - 1).max() < 1e-10
+
+    def test_peaked_heatmap_rows_normalized(self):
+        # the soft-argmax's spatial softmax: 21 keypoint rows over a 28x28
+        # map, logits sharp enough that each row is nearly one-hot
+        x = 80.0 * np.random.default_rng(9).standard_normal((3, 21, 28 * 28))
+        y = ag.softmax(Tensor(x), axis=-1).data
+        assert y.min() >= 0
+        assert np.abs(y.sum(axis=-1) - 1).max() < 1e-8
 
     def test_gradcheck(self):
         rng = np.random.default_rng(7)
@@ -766,7 +774,7 @@ class TestElementwisePrimitives:
             "abs": lambda a, b: ag.sum_(ag.abs_(ag.add(a, b))),
             "reshape": lambda a, b: reduce(ag.reshape(ag.add(a, b), (3, 20))),
             "transpose": lambda a, b: reduce(ag.transpose(ag.add(a, b), (2, 0, 1))),
-            "getitem": lambda a, b: reduce(ag.add(a, b)[:, :, 1:4]),
+            "getitem": lambda a, b: reduce(ag.getitem(ag.add(a, b), (slice(None), slice(None), slice(1, 4)))),
         }
         assert fd_gradcheck(fns[name], [a, b], rng=rng) < 1e-4
 

@@ -208,6 +208,15 @@ class TestAblate:
             "mixer=attn|use_pos_emb=True", "mixer=attn|use_pos_emb=False",
             "mixer=identity|use_pos_emb=True", "mixer=identity|use_pos_emb=False"}
 
+    def test_dict_cells_spell_every_field(self):
+        samplers = [{"variant": "keypoint", "target_resolution": 14, "upsample_scheme": "single-2x"},
+                    {"variant": "keypoint", "target_resolution": 28, "upsample_scheme": "double-2x"}]
+        decoders = [{"k": 3}, {"k": 3, "c": [128, 64, 32]}]
+        ids = {cell_id(c) for c in expand_grid({"sampler": samplers, "decoder": decoders})}
+        assert len(ids) == 4
+        assert ("sampler=target_resolution=14,upsample_scheme=single-2x,variant=keypoint"
+                "|decoder=c=128-64-32,k=3") in ids
+
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValueError):
             expand_grid({"flux_capacitor": [1]})
@@ -217,6 +226,31 @@ class TestAblate:
         cfg = apply_cell(base, {"mixer": "identity"})
         assert cfg.decoder.m == ["identity"] * 3
         assert base.decoder.m == ["attn"] * 3  # base untouched
+
+    def test_apply_cell_one_stage_decoder(self, small_dataset, tmp_path):
+        base = tiny_config(small_dataset, tmp_path)
+        cfg = apply_cell(base, {"decoder": {"k": 1, "n": [1], "d": [778], "m": ["attn"], "c": [64]}})
+        model = build_model(cfg)
+        assert len(model.regressor.layers) == 1
+        assert model.regressor.layers[0].up_weight.shape == (778, 21)
+
+    def test_apply_cell_without_pos_emb(self, small_dataset, tmp_path):
+        base = tiny_config(small_dataset, tmp_path)
+        names = [n for n, _ in build_model(apply_cell(base, {"use_pos_emb": False})).named_parameters()]
+        assert not [n for n in names if "pos_emb" in n]
+        assert [n for n, _ in build_model(base).named_parameters() if "pos_emb" in n]
+
+    def test_sampler_schemes_train_apart(self, small_dataset, tmp_path):
+        base = tiny_config(small_dataset, tmp_path / "unused", total_steps=1, batch_size=1)
+        csv_path = str(tmp_path / "abl" / "ablation.csv")
+        grid = {"sampler": [
+            {"variant": "keypoint", "target_resolution": 14, "upsample_scheme": "single-2x"},
+            {"variant": "keypoint", "target_resolution": 28, "upsample_scheme": "double-2x"},
+        ]}
+        run_ablation(base, grid, csv_path, eval_count=1, log=lambda *_: None)
+        assert len(read_rows(csv_path)) == 6
+        assert len(summarize(csv_path)) == 2
+        assert len(os.listdir(tmp_path / "abl" / "runs")) == 2
 
     def test_mixer_grid_emits_two_rows_per_seed(self, small_dataset, tmp_path):
         base = tiny_config(small_dataset, tmp_path / "unused", total_steps=1, batch_size=1)
@@ -253,7 +287,8 @@ class TestAblate:
         logs = []
         run_ablation(base, grid, csv_path, eval_count=1, log=logs.append)
         rows = read_rows(csv_path)
-        assert {r["cell"] for r in rows} == {"sampler=global"}
+        assert {r["cell"] for r in rows} == {
+            "sampler=target_resolution=7,upsample_scheme=none,variant=global"}
         assert len(rows) == 3  # only the valid cell, all three seeds
         assert any("skipping cell" in line for line in logs)
 

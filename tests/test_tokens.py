@@ -70,7 +70,7 @@ class TestSamplerConfig:
         ("keypoint", 14, "single-2x", 21),
         ("keypoint", 28, "single-4x", 21),
         ("keypoint", 28, "double-2x", 21),
-        ("keypoint_enhanced", 28, "4x-with-extra-convs", 21),
+        ("keypoint", 28, "4x-with-extra-convs", 21),
         ("coarse_mesh", 28, "double-2x", 98),
     ])
     def test_valid_configs_and_token_law(self, variant, res, scheme, n):
@@ -94,7 +94,7 @@ class TestSamplerConfig:
             SamplerConfig(variant, res, scheme)
 
     def test_dict_round_trip(self):
-        cfg = SamplerConfig("keypoint_enhanced", 28, "4x-with-extra-convs")
+        cfg = SamplerConfig("keypoint", 28, "4x-with-extra-convs")
         assert SamplerConfig(**asdict(cfg)) == cfg
 
 
@@ -177,7 +177,7 @@ class TestSoftArgmax:
         h = w = 28
         logits = np.zeros((1, 1, h, w))
         logits[0, 0, 10, 17] = 50.0  # (y, x)
-        _, coords = soft_argmax_2d(Tensor(logits))
+        coords = soft_argmax_2d(Tensor(logits))
         expect_x = (17 + 0.5) * 8 - 0.5
         expect_y = (10 + 0.5) * 8 - 0.5
         assert abs(coords.data[0, 0, 0] - expect_x) < 1e-3
@@ -185,30 +185,28 @@ class TestSoftArgmax:
 
     @pytest.mark.parametrize("res,center", [(7, 111.5), (14, 111.5), (28, 111.5)])
     def test_uniform_logits_give_image_center(self, res, center):
-        _, coords = soft_argmax_2d(Tensor(np.zeros((1, 3, res, res))))
+        coords = soft_argmax_2d(Tensor(np.zeros((1, 3, res, res))))
         assert np.allclose(coords.data, center, atol=1e-9)
 
     @pytest.mark.parametrize("dtype,tol_px", [(np.float64, 1e-8), (np.float32, 1e-3)],
                              ids=["float64", "float32"])
     def test_matches_direct_expectation_oracle(self, dtype, tol_px):
         logits = substream(8, "logits").normal(size=(2, 21, 14, 14)).astype(dtype)
-        heat, coords = soft_argmax_2d(Tensor(logits))
+        coords = soft_argmax_2d(Tensor(logits))
         assert coords.dtype == dtype
         want = softargmax_oracle(logits.astype(np.float64))
         assert np.abs(coords.data - want).max() < tol_px
 
-    def test_taped_soft_argmax_records_four_nodes(self):
-        # reshape, softmax, the expectation product, the heatmap reshape
+    def test_taped_soft_argmax_records_three_nodes(self):
+        # reshape, softmax, the expectation product
         logits = Tensor(substream(8, "logits").normal(size=(2, 21, 14, 14)), requires_grad=True)
         with Tape() as tape:
             soft_argmax_2d(logits)
-        assert len(tape) == 4
+        assert len(tape) == 3
 
-    def test_heatmaps_normalized_and_coords_in_bounds(self):
+    def test_coords_in_bounds(self):
         logits = 80.0 * substream(9, "logits").normal(size=(3, 21, 28, 28))
-        heat, coords = soft_argmax_2d(Tensor(logits))
-        sums = heat.data.sum(axis=(2, 3))
-        assert np.abs(sums - 1.0).max() < 1e-8
+        coords = soft_argmax_2d(Tensor(logits))
         assert coords.data.min() >= 0.0
         assert coords.data.max() <= 223.0
 
@@ -302,7 +300,7 @@ class TestTokenGenerator:
         ("global", 7, "none"),
         ("grid", 7, "none"),
         ("keypoint", 28, "double-2x"),
-        ("keypoint_enhanced", 28, "4x-with-extra-convs"),
+        ("keypoint", 28, "4x-with-extra-convs"),
         ("coarse_mesh", 28, "double-2x"),
     ])
     def test_forward_obeys_token_count_law(self, variant, res, scheme):

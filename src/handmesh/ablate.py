@@ -12,12 +12,11 @@ import time
 from dataclasses import asdict, replace
 
 from . import dataio
+from .config import ExperimentConfig
 from .evaluate import evaluate
-from .regressor import DecoderConfig
-from .tokens import SamplerConfig
 from .train import load_trained_model, train
 
-GRID_AXES = ("sampler", "decoder", "mixer", "use_pos_emb")
+GRID_AXES = ("sampler", "decoder")  # the paper's two halves
 
 CSV_COLUMNS = ("cell", "seed", "pa_mpjpe_mm", "pa_mpvpe_mm", "mpjpe_mm", "mpvpe_mm",
                "f_at_05", "f_at_15", "params_non_backbone", "steps_per_sec", "steps", "config")
@@ -25,11 +24,11 @@ CSV_COLUMNS = ("cell", "seed", "pa_mpjpe_mm", "pa_mpvpe_mm", "mpjpe_mm", "mpvpe_
 
 def expand_grid(grid):
     """Cartesian product over the provided axes -> list of cell dicts."""
-    for axis in grid:
+    for axis, values in grid.items():
         if axis not in GRID_AXES:
             raise ValueError(f"unknown grid axis {axis!r}, expected subset of {GRID_AXES}")
-        if not isinstance(grid[axis], list) or not grid[axis]:
-            raise ValueError(f"grid axis {axis!r} must be a nonempty list")
+        if not isinstance(values, list) or not values or not all(isinstance(v, dict) for v in values):
+            raise ValueError(f"grid axis {axis!r} must be a nonempty list of dicts of config fields")
     axes = [a for a in GRID_AXES if a in grid]
     return [dict(zip(axes, combo)) for combo in itertools.product(*(grid[a] for a in axes))]
 
@@ -49,19 +48,12 @@ def cell_id(cell):
 
 
 def apply_cell(base_cfg, cell):
-    """Overlay one grid cell onto the base config; invalid combos raise."""
-    cfg = base_cfg
-    if "sampler" in cell:
-        cfg = replace(cfg, sampler=SamplerConfig(**cell["sampler"]))
-    if "decoder" in cell:
-        cfg = replace(cfg, decoder=DecoderConfig(**cell["decoder"]))
-    if "mixer" in cell:
-        d = asdict(cfg.decoder)
-        d["m"] = [cell["mixer"]] * d["k"]
-        cfg = replace(cfg, decoder=DecoderConfig(**d))
-    if "use_pos_emb" in cell:
-        cfg = replace(cfg, use_pos_emb=bool(cell["use_pos_emb"]))
-    return cfg
+    """Overlay each axis's fields onto that section of the base config and
+    check the result with the config.json loader; invalid combos raise."""
+    d = asdict(base_cfg)
+    for axis, value in cell.items():
+        d[axis] = {**d[axis], **value}
+    return ExperimentConfig.from_dict(d)
 
 
 def run_ablation(base_cfg, grid, out_csv, seeds=(0, 1, 2), eval_count=500, log=print):
@@ -114,7 +106,8 @@ def read_rows(csv_path):
 
 
 def summarize(csv_path):
-    """Per-cell medians over seeds for every numeric metric column."""
+    """Per-cell medians over seeds for every numeric metric column; a cell's
+    rows must share their config up to seed and out_dir."""
     import numpy as np
 
     rows = read_rows(csv_path)
@@ -123,6 +116,9 @@ def summarize(csv_path):
         cells.setdefault(row["cell"], []).append(row)
     out = {}
     for cid, group in cells.items():
+        configs = {json.dumps({**json.loads(r["config"]), "seed": 0, "out_dir": ""}) for r in group}
+        if len(configs) > 1:
+            raise ValueError(f"cell {cid} has rows whose configs differ beyond seed and out_dir")
         summary = {"seeds": sorted(int(r["seed"]) for r in group)}
         for col in ("pa_mpjpe_mm", "pa_mpvpe_mm", "mpjpe_mm", "mpvpe_mm", "f_at_05", "f_at_15"):
             vals = np.array([float(r[col]) for r in group])

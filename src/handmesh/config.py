@@ -4,21 +4,20 @@ import json
 from dataclasses import asdict, dataclass, field
 
 from .losses import LossWeights
-from .regressor import DecoderConfig, paper_decoder_config
+from .regressor import DecoderConfig
 from .tokens import SamplerConfig
 
 
 @dataclass
 class ExperimentConfig:
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
-    decoder: DecoderConfig = field(default_factory=paper_decoder_config)
+    decoder: DecoderConfig = field(default_factory=DecoderConfig)
     loss_weights: LossWeights = field(default_factory=LossWeights)
     lr: float = 1e-3
     weight_decay: float = 1e-4
     total_steps: int = 200
     batch_size: int = 4
     seed: int = 0
-    use_pos_emb: bool = True
     dataset: str = ""
     out_dir: str = ""
 

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 from .autograd import Tensor
 from .nn import Module
-from .regressor import MeshRegressor, paper_decoder_config
+from .regressor import DecoderConfig, MeshRegressor
 from .rng import substream
 from .tokens import SamplerConfig, TokenGenerator, expected_tokens
 
@@ -18,15 +18,13 @@ class ModelOutput:
 
 
 class HandMeshModel(Module):
-    def __init__(self, sampler_cfg=None, decoder_cfg=None, seed=0, use_pos_emb=True):
+    def __init__(self, sampler_cfg=None, decoder_cfg=None, seed=0):
         sampler_cfg = sampler_cfg or SamplerConfig()
-        decoder_cfg = decoder_cfg or paper_decoder_config()
+        decoder_cfg = decoder_cfg or DecoderConfig()
         rng = substream(seed, "model-init")
         self.tokens = TokenGenerator(sampler_cfg, INPUT_CHANNELS, rng)
-        self.regressor = MeshRegressor(
-            decoder_cfg, expected_tokens(sampler_cfg), self.tokens.out_channels, rng,
-            use_pos_emb=use_pos_emb,
-        )
+        self.regressor = MeshRegressor(decoder_cfg, expected_tokens(sampler_cfg),
+                                       self.tokens.out_channels, rng)
 
     def __call__(self, image):
         tokens, keypoints_2d = self.tokens(image)

@@ -20,20 +20,22 @@ MIXERS = ("attn", "identity")
 
 @dataclass
 class DecoderConfig:
-    k: int = 3
     n: list = field(default_factory=lambda: [1, 1, 1])
     d: list = field(default_factory=lambda: [84, 336, 778])
     m: list = field(default_factory=lambda: ["attn", "attn", "attn"])
     c: list = field(default_factory=lambda: [256, 128, 64])
     heads: int = 4
+    pos_emb: bool = True
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"layer count must be >= 1, got {self.k}")
-        for name in ("n", "d", "m", "c"):
+        if not self.d:
+            raise ValueError("need at least one decoder layer, got an empty d")
+        for name in ("n", "m", "c"):
             seq = getattr(self, name)
-            if len(seq) != self.k:
-                raise ValueError(f"len({name}) == {len(seq)} does not match k == {self.k}")
+            if len(seq) != len(self.d):
+                raise ValueError(f"len({name}) == {len(seq)} does not match len(d) == {len(self.d)}")
+        if not isinstance(self.pos_emb, bool):
+            raise ValueError(f"pos_emb must be true or false, got {self.pos_emb!r}")
         for mk in self.m:
             if mk not in MIXERS:
                 raise ValueError(f"unknown mixer {mk!r}, expected one of {MIXERS}")
@@ -50,11 +52,6 @@ class DecoderConfig:
                 raise ValueError(f"channel widths must be >= 1, got {self.c}")
             if mk == "attn" and ck % self.heads:
                 raise ValueError(f"channel width {ck} not divisible by {self.heads} heads")
-
-
-def paper_decoder_config():
-    """The best-practice three-layer attention cascade."""
-    return DecoderConfig()
 
 
 class DecoderLayer(Module):
@@ -81,7 +78,7 @@ class DecoderLayer(Module):
 
 
 class MeshRegressor(Module):
-    def __init__(self, cfg, n0, c_in, rng, use_pos_emb=True):
+    def __init__(self, cfg, n0, c_in, rng):
         if n0 < 1:
             raise ValueError(f"input token count must be >= 1, got {n0}")
         self.n0 = n0
@@ -90,7 +87,7 @@ class MeshRegressor(Module):
         n_prev, c_prev = n0, c_in
         for nk, dk, mk, ck in zip(cfg.n, cfg.d, cfg.m, cfg.c):
             self.layers.append(DecoderLayer(n_prev, c_prev, ck, nk, mk, cfg.heads, dk, rng,
-                                            use_pos_emb=use_pos_emb))
+                                            use_pos_emb=cfg.pos_emb))
             n_prev, c_prev = dk, ck
         self.head = Affine(cfg.c[-1], 3, rng)
 

@@ -49,8 +49,7 @@ def dataset_loss(model, ds, assets, weights):
 
 def build_model(cfg, dtype=np.float32):
     """Build the model in float32 and cast it to `dtype`."""
-    return HandMeshModel(cfg.sampler, cfg.decoder, seed=cfg.seed,
-                         use_pos_emb=cfg.use_pos_emb).astype(dtype)
+    return HandMeshModel(cfg.sampler, cfg.decoder, seed=cfg.seed).astype(dtype)
 
 
 def _dump_abort(cfg, step, idxs, breakdown=None, reason="non-finite loss"):

@@ -3,6 +3,7 @@
 import filecmp
 import json
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -199,44 +200,66 @@ class TestEvaluate:
             evaluate(model, ds, indices=[])
 
 
+IDENTITY_GRID = {"decoder": [{"m": ["identity"] * 3}]}
+
+
 class TestAblate:
     def test_expand_grid_cartesian_product(self):
-        grid = {"mixer": ["attn", "identity"], "use_pos_emb": [True, False]}
+        grid = {"decoder": [{"pos_emb": True}, {"pos_emb": False}],
+                "sampler": [{"variant": "keypoint"}, {"variant": "coarse_mesh"}]}
         cells = expand_grid(grid)
         assert len(cells) == 4
         assert {cell_id(c) for c in cells} == {
-            "mixer=attn|use_pos_emb=True", "mixer=attn|use_pos_emb=False",
-            "mixer=identity|use_pos_emb=True", "mixer=identity|use_pos_emb=False"}
+            "sampler=variant=keypoint|decoder=pos_emb=True",
+            "sampler=variant=keypoint|decoder=pos_emb=False",
+            "sampler=variant=coarse_mesh|decoder=pos_emb=True",
+            "sampler=variant=coarse_mesh|decoder=pos_emb=False"}
 
     def test_dict_cells_spell_every_field(self):
         samplers = [{"variant": "keypoint", "target_resolution": 14, "upsample_scheme": "single-2x"},
                     {"variant": "keypoint", "target_resolution": 28, "upsample_scheme": "double-2x"}]
-        decoders = [{"k": 3}, {"k": 3, "c": [128, 64, 32]}]
+        decoders = [{"heads": 4}, {"heads": 4, "c": [128, 64, 32]}]
         ids = {cell_id(c) for c in expand_grid({"sampler": samplers, "decoder": decoders})}
         assert len(ids) == 4
         assert ("sampler=target_resolution=14,upsample_scheme=single-2x,variant=keypoint"
-                "|decoder=c=128-64-32,k=3") in ids
+                "|decoder=c=128-64-32,heads=4") in ids
 
     def test_unknown_axis_rejected(self):
-        with pytest.raises(ValueError):
-            expand_grid({"flux_capacitor": [1]})
+        for axis in ("flux_capacitor", "mixer", "use_pos_emb"):
+            with pytest.raises(ValueError, match=axis):
+                expand_grid({axis: [{}]})
+
+    def test_non_dict_axis_value_rejected(self):
+        with pytest.raises(ValueError, match="'sampler'"):
+            expand_grid({"sampler": [{"variant": "keypoint"}, "global"]})
+
+    def test_readme_grid_cells_all_apply(self):
+        readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")).read()
+        blocks = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
+        assert len(blocks) == 1
+        cells = expand_grid(json.loads(blocks[0]))
+        assert len(cells) > 1
+        for cell in cells:
+            apply_cell(ExperimentConfig(), cell)
 
     def test_apply_cell_mixer_override(self, small_dataset, tmp_path):
         base = tiny_config(small_dataset, tmp_path)
-        cfg = apply_cell(base, {"mixer": "identity"})
+        cfg = apply_cell(base, {"decoder": {"m": ["identity"] * 3}})
         assert cfg.decoder.m == ["identity"] * 3
+        assert cfg.decoder.c == base.decoder.c  # fields outside the overlay kept
         assert base.decoder.m == ["attn"] * 3  # base untouched
 
     def test_apply_cell_one_stage_decoder(self, small_dataset, tmp_path):
         base = tiny_config(small_dataset, tmp_path)
-        cfg = apply_cell(base, {"decoder": {"k": 1, "n": [1], "d": [778], "m": ["attn"], "c": [64]}})
+        cfg = apply_cell(base, {"decoder": {"n": [1], "d": [778], "m": ["attn"], "c": [64]}})
         model = build_model(cfg)
         assert len(model.regressor.layers) == 1
         assert model.regressor.layers[0].up_weight.shape == (778, 21)
 
     def test_apply_cell_without_pos_emb(self, small_dataset, tmp_path):
         base = tiny_config(small_dataset, tmp_path)
-        names = [n for n, _ in build_model(apply_cell(base, {"use_pos_emb": False})).named_parameters()]
+        cfg = apply_cell(base, {"decoder": {"pos_emb": False}})
+        names = [n for n, _ in build_model(cfg).named_parameters()]
         assert not [n for n in names if "pos_emb" in n]
         assert [n for n, _ in build_model(base).named_parameters() if "pos_emb" in n]
 
@@ -256,22 +279,23 @@ class TestAblate:
         base = tiny_config(small_dataset, tmp_path / "unused", total_steps=1, batch_size=1)
         csv_path = str(tmp_path / "abl" / "ablation.csv")
         logs = []
-        run_ablation(base, {"mixer": ["attn", "identity"]}, csv_path,
-                     seeds=(0, 1, 2), eval_count=2, log=logs.append)
+        grid = {"decoder": [{"m": ["attn"] * 3}, {"m": ["identity"] * 3}]}
+        run_ablation(base, grid, csv_path, seeds=(0, 1, 2), eval_count=2, log=logs.append)
         rows = read_rows(csv_path)
         assert len(rows) == 6
         by_cell = {}
         for r in rows:
             by_cell.setdefault(r["cell"], []).append(int(r["seed"]))
-        assert by_cell == {"mixer=attn": [0, 1, 2], "mixer=identity": [0, 1, 2]}
+        attn, identity = "decoder=m=attn-attn-attn", "decoder=m=identity-identity-identity"
+        assert by_cell == {attn: [0, 1, 2], identity: [0, 1, 2]}
         summary = summarize(csv_path)
-        assert set(summary) == {"mixer=attn", "mixer=identity"}
-        assert summary["mixer=attn"]["seeds"] == [0, 1, 2]
+        assert set(summary) == {attn, identity}
+        assert summary[attn]["seeds"] == [0, 1, 2]
 
     def test_row_param_counts_match_bench(self, small_dataset, tmp_path):
         base = tiny_config(small_dataset, tmp_path / "unused", total_steps=1, batch_size=1)
         csv_path = str(tmp_path / "abl" / "ablation.csv")
-        run_ablation(base, {"mixer": ["identity"]}, csv_path, eval_count=1, log=lambda *_: None)
+        run_ablation(base, IDENTITY_GRID, csv_path, eval_count=1, log=lambda *_: None)
         row = read_rows(csv_path)[0]
         cfg = ExperimentConfig.from_dict(json.loads(row["config"]))
         bench = run_bench(cfg, iters=10, warmup=1)
@@ -295,17 +319,29 @@ class TestAblate:
     def test_csv_is_append_only(self, small_dataset, tmp_path):
         base = tiny_config(small_dataset, tmp_path / "unused", total_steps=1, batch_size=1)
         csv_path = str(tmp_path / "abl" / "ablation.csv")
-        run_ablation(base, {"mixer": ["identity"]}, csv_path, eval_count=1, log=lambda *_: None)
+        run_ablation(base, IDENTITY_GRID, csv_path, eval_count=1, log=lambda *_: None)
         first = open(csv_path).read()
-        run_ablation(base, {"mixer": ["attn"]}, csv_path, eval_count=1, log=lambda *_: None)
+        run_ablation(base, {"decoder": [{"m": ["attn"] * 3}]}, csv_path, eval_count=1,
+                     log=lambda *_: None)
         second = open(csv_path).read()
         assert second.startswith(first)
         assert len(read_rows(csv_path)) == 6
 
+    def test_summarize_rejects_a_cell_of_two_budgets(self, small_dataset, tmp_path):
+        csv_path = str(tmp_path / "abl" / "ablation.csv")
+        cid = "decoder=m=identity-identity-identity"
+        for steps in (1, 2):
+            base = tiny_config(small_dataset, tmp_path / "unused", total_steps=steps, batch_size=1)
+            run_ablation(base, IDENTITY_GRID, csv_path, eval_count=1, log=lambda *_: None)
+            if steps == 1:
+                assert summarize(csv_path)[cid]["seeds"] == [0, 1, 2]
+        with pytest.raises(ValueError, match=cid):
+            summarize(csv_path)
+
     def test_too_few_seeds_rejected(self, small_dataset, tmp_path):
         base = tiny_config(small_dataset, tmp_path)
         with pytest.raises(ValueError):
-            run_ablation(base, {"mixer": ["attn"]}, str(tmp_path / "x.csv"), seeds=(0, 1))
+            run_ablation(base, IDENTITY_GRID, str(tmp_path / "x.csv"), seeds=(0, 1))
 
 
 class TestBench:

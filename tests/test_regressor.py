@@ -12,12 +12,7 @@ import handmesh
 from handmesh import autograd as ag
 from handmesh.autograd import Tape, Tensor
 from handmesh.nn import MetaformerBlock, SelfAttention
-from handmesh.regressor import (
-    DecoderConfig,
-    DecoderLayer,
-    MeshRegressor,
-    paper_decoder_config,
-)
+from handmesh.regressor import DecoderConfig, DecoderLayer, MeshRegressor
 from handmesh.rng import substream
 
 from helpers import fd_gradcheck
@@ -58,27 +53,28 @@ def zero_params(module):
 
 class TestDecoderConfig:
     def test_paper_config_round_trips_exact_json_form(self):
-        cfg = paper_decoder_config()
-        assert asdict(cfg) == {"k": 3, "n": [1, 1, 1], "d": [84, 336, 778],
-                               "m": ["attn", "attn", "attn"], "c": [256, 128, 64], "heads": 4}
+        cfg = DecoderConfig()
+        assert asdict(cfg) == {"n": [1, 1, 1], "d": [84, 336, 778], "m": ["attn", "attn", "attn"],
+                               "c": [256, 128, 64], "heads": 4, "pos_emb": True}
         assert DecoderConfig(**asdict(cfg)) == cfg
 
     @pytest.mark.parametrize("kwargs", [
-        dict(k=2, n=[1], d=[84, 778], m=["attn", "attn"], c=[64, 64]),  # len(n) != k
-        dict(k=2, n=[1, 1], d=[336, 84], m=["attn", "attn"], c=[64, 64]),  # not increasing
-        dict(k=2, n=[1, 1], d=[84, 84], m=["attn", "attn"], c=[64, 64]),  # ties
-        dict(k=1, n=[1], d=[777], m=["attn"], c=[64]),  # wrong terminal count
-        dict(k=1, n=[1], d=[778], m=["attn"], c=[66], heads=4),  # 66 % 4 != 0
-        dict(k=1, n=[-1], d=[778], m=["attn"], c=[64]),
-        dict(k=1, n=[1], d=[778], m=["pool"], c=[64]),
-        dict(k=0, n=[], d=[], m=[], c=[]),
+        dict(n=[1], d=[84, 778], m=["attn", "attn"], c=[64, 64]),  # len(n) != len(d)
+        dict(n=[1, 1], d=[336, 84], m=["attn", "attn"], c=[64, 64]),  # not increasing
+        dict(n=[1, 1], d=[84, 84], m=["attn", "attn"], c=[64, 64]),  # ties
+        dict(n=[1], d=[777], m=["attn"], c=[64]),  # wrong terminal count
+        dict(n=[1], d=[778], m=["attn"], c=[66], heads=4),  # 66 % 4 != 0
+        dict(n=[-1], d=[778], m=["attn"], c=[64]),
+        dict(n=[1], d=[778], m=["pool"], c=[64]),
+        dict(n=[], d=[], m=[], c=[]),  # no layers
+        dict(pos_emb="false"),  # a string, not a bool
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             DecoderConfig(**kwargs)
 
     def test_identity_mixer_ignores_head_divisibility(self):
-        DecoderConfig(k=1, n=[1], d=[778], m=["identity"], c=[66], heads=4)
+        DecoderConfig(n=[1], d=[778], m=["identity"], c=[66], heads=4)
 
 
 # --- layer algebra -----------------------------------------------------
@@ -214,7 +210,7 @@ class TestMetaformerBlock:
 
 class TestMeshRegressor:
     def test_paper_config_trace(self):
-        reg = MeshRegressor(paper_decoder_config(), 21, 64, substream(30, "reg"))
+        reg = MeshRegressor(DecoderConfig(), 21, 64, substream(30, "reg"))
         x = Tensor(np.random.default_rng(0).normal(size=(2, 21, 64)).astype(np.float32))
         shapes = []
         for layer in reg.layers:
@@ -224,13 +220,13 @@ class TestMeshRegressor:
         assert reg.head(x).shape == (2, 778, 3)
 
     def test_single_layer_identity_baseline(self):
-        cfg = DecoderConfig(k=1, n=[1], d=[778], m=["identity"], c=[64])
+        cfg = DecoderConfig(n=[1], d=[778], m=["identity"], c=[64])
         reg = MeshRegressor(cfg, 1, 64, substream(31, "reg"))
         out = reg(Tensor(np.zeros((1, 1, 64), dtype=np.float32)))
         assert out.shape == (1, 778, 3)
 
     def test_zero_network_emits_origin(self):
-        reg = MeshRegressor(paper_decoder_config(), 21, 64, substream(32, "reg")).astype(np.float64)
+        reg = MeshRegressor(DecoderConfig(), 21, 64, substream(32, "reg")).astype(np.float64)
         zero_params(reg)
         out = reg(Tensor(np.zeros((1, 21, 64))))
         assert np.all(out.data == 0.0)
@@ -257,19 +253,19 @@ class TestMeshRegressor:
         assert done.stdout.strip() == "FloatingPointError"
 
     def test_wrong_token_count_rejected(self):
-        reg = MeshRegressor(paper_decoder_config(), 21, 64, substream(33, "reg"))
+        reg = MeshRegressor(DecoderConfig(), 21, 64, substream(33, "reg"))
         with pytest.raises(ValueError):
             reg(Tensor(np.zeros((1, 49, 64), dtype=np.float32)))
         with pytest.raises(ValueError):
             reg(Tensor(np.zeros((1, 21, 32), dtype=np.float32)))
 
     def test_forward_is_deterministic(self):
-        reg = MeshRegressor(paper_decoder_config(), 21, 64, substream(34, "reg"))
+        reg = MeshRegressor(DecoderConfig(), 21, 64, substream(34, "reg"))
         x = Tensor(np.random.default_rng(1).normal(size=(1, 21, 64)).astype(np.float32))
         assert np.array_equal(reg(x).data, reg(x).data)
 
     def test_end_to_end_parameter_finite_differences(self):
-        cfg = DecoderConfig(k=2, n=[1, 1], d=[84, 778], m=["attn", "attn"], c=[16, 8], heads=2)
+        cfg = DecoderConfig(n=[1, 1], d=[84, 778], m=["attn", "attn"], c=[16, 8], heads=2)
         reg = MeshRegressor(cfg, 5, 6, substream(35, "reg")).astype(np.float64)
         x = Tensor(substream(36, "x").normal(size=(1, 5, 6)))
 

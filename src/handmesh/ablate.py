@@ -56,28 +56,46 @@ def apply_cell(base_cfg, cell):
     return ExperimentConfig.from_dict(d)
 
 
+def _config_key(config):
+    """A row's config with seed and out_dir blanked: a cell's rows must share it."""
+    return json.dumps({**config, "seed": 0, "out_dir": ""}, sort_keys=True)
+
+
 def run_ablation(base_cfg, grid, out_csv, seeds=(0, 1, 2), eval_count=500, log=print):
-    """Train and evaluate every valid (cell, seed); append rows to out_csv."""
+    """Train and evaluate every valid (cell, seed); append rows to out_csv.
+
+    A cell that out_csv already holds under another config is refused
+    before any training, since its runs would overwrite those rows' run
+    directories.
+    """
     if len(seeds) < 3:
         raise ValueError(f"need at least 3 shared seeds, got {len(seeds)}")
-    cells = expand_grid(grid)
+    cells = []
+    for cell in expand_grid(grid):
+        cid = cell_id(cell)
+        try:
+            cells.append((cid, apply_cell(base_cfg, cell)))
+        except (ValueError, TypeError) as err:
+            log(f"skipping cell {cid}: {err}")
+    new_file = not (os.path.exists(out_csv) and os.path.getsize(out_csv) > 0)
+    held = {}  # cell id -> config keys of its rows already in out_csv
+    if not new_file:
+        for row in read_rows(out_csv):
+            held.setdefault(row["cell"], set()).add(_config_key(json.loads(row["config"])))
+    for cid, cell_cfg in cells:
+        if held.get(cid, set()) - {_config_key(asdict(cell_cfg))}:
+            raise ValueError(f"cell {cid}: {out_csv} holds rows of another config for it, "
+                             "whose run directories this run would overwrite")
     dataset = dataio.Dataset(base_cfg.dataset)
     count = len(dataset)
     eval_indices = range(max(0, count - eval_count), count)
     root = os.path.dirname(os.path.abspath(out_csv))
     os.makedirs(root, exist_ok=True)
-    new_file = not (os.path.exists(out_csv) and os.path.getsize(out_csv) > 0)
     with open(out_csv, "a", newline="") as fh:
         writer = csv.writer(fh)
         if new_file:
             writer.writerow(CSV_COLUMNS)
-        for cell in cells:
-            cid = cell_id(cell)
-            try:
-                cell_cfg = apply_cell(base_cfg, cell)
-            except (ValueError, TypeError) as err:
-                log(f"skipping cell {cid}: {err}")
-                continue
+        for cid, cell_cfg in cells:
             for seed in seeds:
                 run_dir = os.path.join(root, "runs", cid.replace("|", "_"), f"seed{seed}")
                 cfg = replace(cell_cfg, seed=seed, out_dir=run_dir)
@@ -116,7 +134,7 @@ def summarize(csv_path):
         cells.setdefault(row["cell"], []).append(row)
     out = {}
     for cid, group in cells.items():
-        configs = {json.dumps({**json.loads(r["config"]), "seed": 0, "out_dir": ""}) for r in group}
+        configs = {_config_key(json.loads(r["config"])) for r in group}
         if len(configs) > 1:
             raise ValueError(f"cell {cid} has rows whose configs differ beyond seed and out_dir")
         summary = {"seeds": sorted(int(r["seed"]) for r in group)}

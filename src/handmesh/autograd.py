@@ -280,16 +280,6 @@ def cast(x, dtype):
     return out
 
 
-def relu(x):
-    out = Tensor(np.maximum(x.data, 0), requires_grad=_wants_grad(x))
-
-    def backward_fn(g):
-        _accum(x, g * (x.data > 0))
-
-    _record(out, backward_fn)
-    return out
-
-
 def gelu(x):
     phi = 0.5 * (1.0 + erf(x.data * x.dtype.type(_INV_SQRT2)))
     out = Tensor(x.data * phi, requires_grad=_wants_grad(x))
@@ -488,30 +478,34 @@ def _pad_cols(gb, wq, scale):
     return gq.reshape(cout, ho * wq)
 
 
-def _folds(x, geom, stride, padding):
+def _folds(x, geom, stride, padding, keep=False):
     """Yield each sample of x (B, C, H, W) folded to (C*s*s, hq*wq), with its max |v|.
 
     Fold channel (c, i, j) at (r, t) holds padded pixel (c, r*s + i, t*s + j).
-    With stride 1 and no padding the fold is a view of the sample; otherwise
-    it is a fresh copy, and with padding > 0 that copy reads float32
-    subnormals as zero (denormals-are-zero): values below the dtype's
-    smallest normal are zeroed. About 14% of the nonzero values of rendered
-    inputs are float32 subnormals, every op that touches one takes a slow
-    microcode assist, and numpy cannot set the CPU's DAZ flag. The flush and
-    the max share one reused scratch buffer. The caller's array is never
-    written, and float64 (tiny 2.2e-308) keeps its range.
+    With stride 1 and no padding the fold is a view of the sample. Otherwise
+    it is a copy into a buffer zeroed once per call, whose padding slots are
+    never written: one buffer refilled for every sample, so each fold is
+    valid only until the next is drawn, or with `keep` one slice per sample
+    of a (B, C*s*s, hq*wq) block (see _kept_folds). With padding > 0 the copy
+    reads float32 subnormals as zero (denormals-are-zero): values below the
+    dtype's smallest normal are zeroed. About 14% of the nonzero values of
+    rendered inputs are float32 subnormals, every op that touches one takes
+    a slow microcode assist, and numpy cannot set the CPU's DAZ flag. The
+    flush and the max share one reused scratch buffer. The caller's array
+    is never written, and float64 (tiny 2.2e-308) keeps its range.
     """
-    _, c, h, w = x.shape
+    bsz, c, h, w = x.shape
     hq, wq, phases = geom[2], geom[3], geom[6]
     if stride == 1 and padding == 0:
         for xb in x:
             yield xb.reshape(c, h * w), max(xb.max(), -xb.min())
         return
     tiny = np.finfo(x.dtype).tiny
+    bufs = np.zeros((bsz if keep else 1, c, stride, stride, hq, wq), x.dtype)
     mag = np.empty((c * stride * stride, hq * wq), x.dtype)
     small = np.empty(mag.shape, bool)
-    for xb in x:
-        xf = np.zeros((c, stride, stride, hq, wq), x.dtype)
+    for bi, xb in enumerate(x):
+        xf = bufs[bi if keep else 0]
         for i, j, fr, fc, xr, xc in phases:
             xf[:, i, j, fr, fc] = xb[:, xr, xc]
         xf = xf.reshape(mag.shape)
@@ -520,6 +514,11 @@ def _folds(x, geom, stride, padding):
             np.less(mag, tiny, out=small)
             np.copyto(xf, 0, where=small)
         yield xf, mag.max()
+
+
+def _kept_folds(x, geom, stride, padding):
+    """The folds of x as a list, for a weight gradient: no two share memory."""
+    return list(_folds(x, geom, stride, padding, keep=True))
 
 
 def _conv_fwd(folds, wt, geom, bsz):
@@ -591,12 +590,14 @@ def _conv_dw(folds, g, geom, w_shape, stride):
     return _unfold_weight(dwt.transpose(0, 2, 1), w_shape, stride)
 
 
-def conv2d(x, w, b=None, stride=1, padding=0):
+def conv2d(x, w, b=None, stride=1, padding=0, relu=False):
     """Cross-correlation (no kernel flip): x (B,Cin,H,W), w (Cout,Cin,kh,kw).
 
     Runs as _conv_fwd over _folds of x; backward keeps the folds for the
     weight gradient (_conv_dw) only when w wants one, and the input
-    gradient is _conv_dx.
+    gradient is _conv_dx. With `relu` the bias and max(., 0) are applied in
+    place to the conv's own output, and backward first masks g by out > 0,
+    so the whole conv+bias+ReLU is one tape node with one output array.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ValueError(f"conv2d expects 4D input/weight, got {x.shape} and {w.shape}")
@@ -607,15 +608,20 @@ def conv2d(x, w, b=None, stride=1, padding=0):
     geom = _geometry(*x.shape[2:], *w.shape[2:], stride, padding)
     wt = _fold_weight(w.data, stride).astype(np.result_type(x.data, w.data), copy=False)
     requires_grad = _wants_grad(x, w) or (b is not None and _wants_grad(b))
-    folds = _folds(x.data, geom, stride, padding)
     if requires_grad and w.requires_grad:
-        folds = list(folds)
+        folds = _kept_folds(x.data, geom, stride, padding)
+    else:
+        folds = _folds(x.data, geom, stride, padding)
     y = _conv_fwd(folds, wt, geom, x.shape[0])
     if b is not None:
         y += b.data[:, None, None]
+    if relu:
+        np.maximum(y, 0, out=y)
     out = Tensor(y, requires_grad=requires_grad)
 
     def backward_fn(g):
+        if relu:
+            g = g * (y > 0)
         if b is not None:
             _accum(b, g.sum(axis=(0, 2, 3)))
         if w.requires_grad:
@@ -660,10 +666,11 @@ def conv_transpose2d(x, w, b=None, stride=2, padding=1):
     def backward_fn(g):
         if b is not None:
             _accum(b, g.sum(axis=(0, 2, 3)))
-        folds = _folds(g, geom, stride, padding)
         if w.requires_grad:
-            folds = list(folds)
+            folds = _kept_folds(g, geom, stride, padding)
             _accum(w, _conv_dw(folds, x.data, geom, w.shape, stride))
+        else:
+            folds = _folds(g, geom, stride, padding)
         if x.requires_grad:
             _accum(x, _conv_fwd(folds, wt, geom, bsz))
 

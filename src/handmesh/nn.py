@@ -21,19 +21,7 @@ class Module:
 
     def named_parameters(self):
         out = []
-
-        def walk(prefix, obj):
-            if isinstance(obj, Tensor):
-                if obj.requires_grad:
-                    out.append((prefix, obj))
-            elif isinstance(obj, Module):
-                for k, v in obj.__dict__.items():
-                    walk(f"{prefix}.{k}" if prefix else k, v)
-            elif isinstance(obj, (list, tuple)):
-                for i, v in enumerate(obj):
-                    walk(f"{prefix}.{i}", v)
-
-        walk("", self)
+        _walk_parameters("", self, out)
         return out
 
     def parameters(self):
@@ -69,6 +57,21 @@ class Module:
         return self
 
 
+def _walk_parameters(prefix, obj, out):
+    # a module-level function: a nested one that recursed through its own
+    # closure cell would form a cycle holding `out`, so every parameter
+    # listed would outlive its model until the cyclic collector ran
+    if isinstance(obj, Tensor):
+        if obj.requires_grad:
+            out.append((prefix, obj))
+    elif isinstance(obj, Module):
+        for k, v in obj.__dict__.items():
+            _walk_parameters(f"{prefix}.{k}" if prefix else k, v, out)
+    elif isinstance(obj, (list, tuple)):
+        for i, v in enumerate(obj):
+            _walk_parameters(f"{prefix}.{i}", v, out)
+
+
 def _uniform_init(rng, shape, fan_in, gain=1.0):
     bound = np.sqrt(gain / fan_in)
     return rng.uniform(-bound, bound, size=shape).astype(np.float32)
@@ -86,15 +89,18 @@ class Affine(Module):
 
 
 class Conv2d(Module):
-    def __init__(self, cin, cout, k, rng, stride=1, padding=0):
+    """conv2d plus bias; with `relu`, the ReLU is fused into the same node."""
+
+    def __init__(self, cin, cout, k, rng, stride=1, padding=0, relu=False):
         # gain 6 = relu-preserving variance for uniform weights
         self.weight = Tensor(_uniform_init(rng, (cout, cin, k, k), cin * k * k, gain=6.0), requires_grad=True)
         self.bias = Tensor(np.zeros(cout, dtype=np.float32), requires_grad=True)
         self.stride = stride
         self.padding = padding
+        self.relu = relu
 
     def __call__(self, x):
-        return ag.conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
+        return ag.conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding, relu=self.relu)
 
 
 class ConvTranspose2d(Module):

@@ -23,6 +23,9 @@ HEATMAP_SIGMA = 4.0
 NUM_JOINTS = 21
 NUM_VERTICES = 778
 
+_BLUR_SIGMA = 3.0  # silhouette blur
+_BLUR_REACH = int(4.0 * _BLUR_SIGMA + 0.5)  # gaussian_filter's radius at its default truncate=4.0
+
 _PALM_VERTS = 298
 _RINGS_PER_FINGER = 8
 _VERTS_PER_RING = 12
@@ -307,20 +310,29 @@ def fit_camera(V, rng):
 def render_input(J_2d, V_2d, out=None):
     """22 channels in [0, 1]: 21 unit-peak Gaussian heatmaps at the 2D
     joints plus one soft silhouette from binned projected vertices. Values
-    are computed in float64, then cast into every element of `out` if given."""
+    are computed in float64, then cast into every element of `out` if given.
+
+    The silhouette is blurred only over the vertex bins' box widened by the
+    filter's reach and clipped to the image: every pixel outside it is zero,
+    and the widening keeps the crop's `reflect` border reading zeros, so the
+    result is bit for bit that of blurring the whole image.
+    """
     if out is None:
         out = np.empty((NUM_JOINTS + 1, IMAGE_SIZE, IMAGE_SIZE))
     grid = np.arange(IMAGE_SIZE, dtype=np.float64)
     gx = np.exp(-0.5 * ((grid - J_2d[:, 0:1]) / HEATMAP_SIGMA) ** 2)
     gy = np.exp(-0.5 * ((grid - J_2d[:, 1:2]) / HEATMAP_SIGMA) ** 2)
     np.multiply(gy[:, :, None], gx[:, None, :], out=out[:NUM_JOINTS])
-    counts = np.zeros((IMAGE_SIZE, IMAGE_SIZE))
-    ix = np.clip(V_2d[:, 0].round().astype(int), 0, IMAGE_SIZE - 1)
-    iy = np.clip(V_2d[:, 1].round().astype(int), 0, IMAGE_SIZE - 1)
-    np.add.at(counts, (iy, ix), 1.0)
-    blur = gaussian_filter(counts, sigma=3.0)
-    peak = blur.max()
-    out[NUM_JOINTS] = blur / peak if peak > 0 else 0.0
+    out[NUM_JOINTS] = 0.0
+    if len(V_2d):
+        ix = np.clip(V_2d[:, 0].round().astype(int), 0, IMAGE_SIZE - 1)
+        iy = np.clip(V_2d[:, 1].round().astype(int), 0, IMAGE_SIZE - 1)
+        y0, y1 = max(iy.min() - _BLUR_REACH, 0), min(iy.max() + _BLUR_REACH + 1, IMAGE_SIZE)
+        x0, x1 = max(ix.min() - _BLUR_REACH, 0), min(ix.max() + _BLUR_REACH + 1, IMAGE_SIZE)
+        counts = np.zeros((y1 - y0, x1 - x0))
+        np.add.at(counts, (iy - y0, ix - x0), 1.0)
+        blur = gaussian_filter(counts, sigma=_BLUR_SIGMA)
+        out[NUM_JOINTS, y0:y1, x0:x1] = blur / blur.max()
     return out
 
 

@@ -106,7 +106,7 @@ def _add_bilinear_passthrough(tconv, stride):
 
 
 class ToyBackbone(Module):
-    """Five stride-2 4x4 conv stages with ReLU: (B,Cin,224,224) -> (B,64,7,7).
+    """Five stride-2 4x4 conv+ReLU stages: (B,Cin,224,224) -> (B,64,7,7).
 
     Kernel 4 with padding 1 keeps each stage's sampling lattice on the
     half-pixel alignment the coordinate mapping assumes.
@@ -116,7 +116,7 @@ class ToyBackbone(Module):
         self.stages = []
         prev = c_in
         for w in BACKBONE_WIDTHS:
-            stage = Conv2d(prev, w, 4, rng, stride=2, padding=1)
+            stage = Conv2d(prev, w, 4, rng, stride=2, padding=1, relu=True)
             _add_smoothing_passthrough(stage)
             self.stages.append(stage)
             prev = w
@@ -126,7 +126,7 @@ class ToyBackbone(Module):
         if x.shape[2] % 32 or x.shape[3] % 32:
             raise ValueError(f"backbone input spatial dims must divide 32, got {x.shape}")
         for stage in self.stages:
-            x = ag.relu(stage(x))
+            x = stage(x)
         return x
 
 
@@ -143,7 +143,7 @@ class FeatureUpsampler(Module):
             for _ in range(2):
                 self._add_tconv(channels, 4, 2, 1, rng)
                 if scheme == "4x-with-extra-convs":
-                    conv = Conv2d(channels, channels, 3, rng, stride=1, padding=1)
+                    conv = Conv2d(channels, channels, 3, rng, stride=1, padding=1, relu=True)
                     _add_smoothing_passthrough(conv)
                     self.steps.append(("conv", conv))
 
@@ -153,10 +153,8 @@ class FeatureUpsampler(Module):
         self.steps.append(("tconv", tconv))
 
     def __call__(self, x):
-        for kind, layer in self.steps:
+        for _, layer in self.steps:
             x = layer(x)
-            if kind == "conv":
-                x = ag.relu(x)
         return x
 
 

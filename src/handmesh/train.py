@@ -103,6 +103,10 @@ def train(cfg):
             writer.writerow([step, repr(bd.L_vert), repr(bd.L_J3d), repr(bd.L_J2d),
                              repr(bd.total), repr(opt.lr)])
 
+    # the optimizer state and the last step's gradients are dead: free them,
+    # so the dataset loss's batch-16 forward reuses their memory
+    del opt
+    model.zero_grad()
     final = dataset_loss(model, ds, ds.assets, cfg.loss_weights)
     dataio.save_checkpoint(ckpt_path, model.state_dict())
     return RunArtifacts(checkpoint=ckpt_path, log_csv=log_path, config_json=cfg_path,

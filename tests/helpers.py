@@ -1,10 +1,12 @@
 """Shared test utilities: central finite-difference gradient checking, the
-composed multi-head attention reference and the per-joint input renderer."""
+ReLU node and the composed multi-head attention that fused nodes are
+checked against, and the per-joint input renderer."""
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from handmesh import autograd as ag
+from handmesh.autograd import Tensor
 from handmesh.synth import HEATMAP_SIGMA, IMAGE_SIZE, NUM_JOINTS
 
 
@@ -44,6 +46,18 @@ def fd_gradcheck(fn, tensors, step=1e-5, rng=None, max_checks=64):
             rel = abs(analytic[idx] - fd) / max(1.0, abs(fd))
             worst = max(worst, rel)
     return worst
+
+
+def relu(x):
+    """max(x, 0) as a tape node of its own: the reference for the ReLU that
+    `ag.conv2d(..., relu=True)` fuses into the conv."""
+    out = Tensor(np.maximum(x.data, 0), requires_grad=ag._wants_grad(x))
+
+    def backward_fn(g):
+        ag._accum(x, g * (x.data > 0))
+
+    ag._record(out, backward_fn)
+    return out
 
 
 def attention_composed(qkv, heads):

@@ -7,7 +7,7 @@ from handmesh import autograd as ag
 from handmesh.autograd import Tape, Tensor
 from handmesh.nn import SelfAttention
 
-from helpers import attention_composed, fd_gradcheck
+from helpers import attention_composed, fd_gradcheck, relu
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +395,70 @@ class TestConv2d:
         assert peak < 2 * x.data.nbytes
 
 
+class TestConv2dRelu:
+    """conv2d(..., relu=True) is conv2d then ReLU, fused into one tape node."""
+
+    @staticmethod
+    def _run(x, w, b, r, fused):
+        xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+        with Tape() as tape:
+            if fused:
+                y = ag.conv2d(xt, wt, bt, stride=2, padding=1, relu=True)
+            else:
+                y = relu(ag.conv2d(xt, wt, bt, stride=2, padding=1))
+            tape.backward(ag.sum_(ag.mul(y, Tensor(r))))
+        return (y.data, xt.grad, wt.grad, bt.grad), len(tape)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_conv_then_relu_bit_for_bit(self, dtype):
+        # float32 subnormal inputs go through the padded fold's flush
+        x, _ = TestConvReadsSubnormalsAsZero._with_subnormals((3, 4, 10, 10), 60)
+        rng = np.random.default_rng(61)
+        w = rng.standard_normal((5, 4, 4, 4)).astype(dtype)
+        b = rng.standard_normal(5).astype(dtype)
+        r = rng.standard_normal((3, 5, 5, 5)).astype(dtype)
+        fused, fused_nodes = self._run(x.astype(dtype), w, b, r, fused=True)
+        composed, composed_nodes = self._run(x.astype(dtype), w, b, r, fused=False)
+        assert (fused[0] == 0).any() and (fused[0] > 0).any()
+        for name, got, want in zip(("y", "dx", "dw", "db"), fused, composed):
+            assert got.dtype == dtype, name
+            assert got.tobytes() == want.tobytes(), name
+        assert (fused_nodes, composed_nodes) == (3, 4)
+
+    def test_gradcheck(self):
+        rng = np.random.default_rng(62)
+        x = Tensor(rng.standard_normal((2, 3, 7, 7)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 3, 3, 3)) * 0.5, requires_grad=True)
+        b = Tensor(rng.standard_normal(4) * 0.5, requires_grad=True)
+        r = Tensor(rng.standard_normal((2, 4, 4, 4)))
+
+        def fn(x, w, b):
+            return ag.sum_(ag.mul(ag.conv2d(x, w, b, stride=2, padding=1, relu=True), r))
+
+        assert fd_gradcheck(fn, [x, w, b], rng=rng) < 1e-6
+
+    @pytest.mark.parametrize("transposed", [False, True], ids=["conv2d", "conv_transpose2d"])
+    def test_kept_folds_never_share_memory(self, transposed):
+        # folds kept for the weight gradient that aliased one buffer would
+        # sum the last sample's fold three times
+        rng = np.random.default_rng(63)
+        if transposed:
+            conv, x, w, r = ag.conv_transpose2d, (3, 4, 5, 5), (4, 2, 4, 4), (3, 2, 10, 10)
+        else:
+            conv, x, w, r = ag.conv2d, (3, 2, 10, 10), (4, 2, 4, 4), (3, 4, 5, 5)
+        x, w, r = (rng.standard_normal(shape) for shape in (x, w, r))
+
+        def weight_grad(i):
+            wt = Tensor(w, requires_grad=True)
+            with Tape() as tape:
+                y = conv(Tensor(x[i]), wt, stride=2, padding=1)
+                tape.backward(ag.sum_(ag.mul(y, Tensor(r[i]))))
+            return wt.grad
+
+        per_sample = sum(weight_grad(slice(i, i + 1)) for i in range(3))
+        assert np.abs(weight_grad(slice(None)) - per_sample).max() < 1e-12 * np.abs(per_sample).max()
+
+
 class TestConvPowerOfTwoScaling:
     """Scaling the input or the upstream gradient by 2**e scales each conv
     result by exactly 2**e: tiny normal inputs keep full float32 precision
@@ -722,9 +786,9 @@ class TestElementwisePrimitives:
     def test_relu_values_and_zero_subgradient(self):
         x = Tensor(np.array([-1.0, 0.0, 2.0]), requires_grad=True)
         with Tape() as tape:
-            y = ag.sum_(ag.relu(x))
+            y = ag.sum_(relu(x))
             tape.backward(y)
-        assert np.array_equal(ag.relu(x).data, [0.0, 0.0, 2.0])
+        assert np.array_equal(relu(x).data, [0.0, 0.0, 2.0])
         assert np.array_equal(x.grad, [0.0, 0.0, 1.0])
 
     def test_abs_sign_zero_subgradient(self):
@@ -767,7 +831,7 @@ class TestElementwisePrimitives:
             "add": lambda a, b: reduce(ag.add(a, b)),
             "sub": lambda a, b: reduce(ag.sub(a, b)),
             "mul": lambda a, b: reduce(ag.mul(a, b)),
-            "relu": lambda a, b: reduce(ag.relu(ag.add(a, b))),
+            "relu": lambda a, b: reduce(relu(ag.add(a, b))),
             "gelu": lambda a, b: reduce(ag.gelu(ag.add(a, b))),
             "mean_axis": lambda a, b: ag.sum_(ag.mean(ag.add(a, b), axis=(0, 2))),
             "sum_keepdims": lambda a, b: ag.sum_(ag.mul(ag.sum_(a, axis=2, keepdims=True), ag.sum_(b, axis=1, keepdims=True))),
@@ -779,7 +843,7 @@ class TestElementwisePrimitives:
         assert fd_gradcheck(fns[name], [a, b], rng=rng) < 1e-4
 
     def test_composite_chain_gradcheck(self):
-        # conv -> relu -> flatten -> affine -> softmax-weighted sum,
+        # conv+relu -> flatten -> affine -> softmax-weighted sum,
         # checking a deeper composition than single primitives
         rng = np.random.default_rng(27)
         x = Tensor(rng.standard_normal((1, 2, 6, 6)), requires_grad=True)
@@ -787,7 +851,7 @@ class TestElementwisePrimitives:
         wf = Tensor(rng.standard_normal((27, 4)) * 0.3, requires_grad=True)
 
         def fn(x, w, wf):
-            h = ag.relu(ag.conv2d(x, w, stride=2, padding=1))
+            h = ag.conv2d(x, w, stride=2, padding=1, relu=True)
             h = ag.reshape(h, (1, 27))
             logits = ag.matmul(h, wf)
             p = ag.softmax(logits, axis=-1)

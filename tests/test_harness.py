@@ -1,6 +1,8 @@
 """Harness: CLI subcommands, training artifacts, eval trail, ablation grid."""
 
+import csv
 import filecmp
+import gc
 import json
 import os
 import re
@@ -15,10 +17,11 @@ from handmesh.bench import run_bench
 from handmesh.cli import main
 from handmesh.config import ExperimentConfig
 from handmesh.evaluate import evaluate, reaggregate_csv
+from handmesh.losses import total_loss
 from handmesh.model import ModelOutput
 from handmesh.tokens import SamplerConfig
 from handmesh.train import build_model, load_trained_model, train
-from handmesh.autograd import Tensor
+from handmesh.autograd import Tape, Tensor
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +105,19 @@ class TestBuildModel:
             assert arr.dtype == np.float64
             assert np.array_equal(arr, want[name].astype(np.float64)), name
 
+    def test_dropped_model_leaves_no_reference_cycle(self):
+        # parameters held by a cycle stay allocated until the cyclic collector
+        # happens to run, so a run's peak memory would hang on its timing
+        gc.collect()
+        gc.disable()
+        try:
+            model = build_model(ExperimentConfig())
+            model.load_state_dict(model.state_dict())
+            del model
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 class TestTrain:
     def test_zero_steps_checkpoint_equals_initialization(self, small_dataset, tmp_path):
@@ -139,6 +155,17 @@ class TestTrain:
             train(cfg)
         dump = json.loads((tmp_path / "run" / "nan_dump.json").read_text())
         assert {"step", "indices", "reason", "config"} <= set(dump)
+
+    def test_paper_config_step_records_91_tape_nodes(self, small_dataset):
+        ds = dataio.Dataset(small_dataset)
+        batch = ds.batch(np.arange(4))
+        cfg = ExperimentConfig()
+        model = build_model(cfg)
+        with Tape() as tape:
+            out = model(Tensor(batch["input"]))
+            total_loss(out.vertices, batch["V_3d"], out.keypoints_2d, batch["J_2d"],
+                       ds.assets.J, cfg.loss_weights)
+        assert len(tape) == 91
 
     def test_missing_dataset_rejected(self, tmp_path):
         cfg = tiny_config(str(tmp_path / "nope"), tmp_path / "run")
@@ -328,15 +355,34 @@ class TestAblate:
         assert len(read_rows(csv_path)) == 6
 
     def test_summarize_rejects_a_cell_of_two_budgets(self, small_dataset, tmp_path):
+        # run_ablation refuses to write such a CSV, so the second budget's
+        # rows are appended by hand
         csv_path = str(tmp_path / "abl" / "ablation.csv")
         cid = "decoder=m=identity-identity-identity"
-        for steps in (1, 2):
-            base = tiny_config(small_dataset, tmp_path / "unused", total_steps=steps, batch_size=1)
-            run_ablation(base, IDENTITY_GRID, csv_path, eval_count=1, log=lambda *_: None)
-            if steps == 1:
-                assert summarize(csv_path)[cid]["seeds"] == [0, 1, 2]
+        base = tiny_config(small_dataset, tmp_path / "unused", total_steps=1, batch_size=1)
+        run_ablation(base, IDENTITY_GRID, csv_path, eval_count=1, log=lambda *_: None)
+        assert summarize(csv_path)[cid]["seeds"] == [0, 1, 2]
+        rows = read_rows(csv_path)
+        with open(csv_path, "a", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            for r in rows:
+                writer.writerow({**r, "config": json.dumps({**json.loads(r["config"]), "total_steps": 2})})
+        assert len({r["config"] for r in read_rows(csv_path)}) == 6
         with pytest.raises(ValueError, match=cid):
             summarize(csv_path)
+
+    def test_second_budget_of_a_cell_refused_before_training(self, small_dataset, tmp_path):
+        csv_path = str(tmp_path / "abl" / "ablation.csv")
+        cid = "decoder=m=identity-identity-identity"
+        one, two = (tiny_config(small_dataset, tmp_path / "unused", total_steps=steps, batch_size=1)
+                    for steps in (1, 2))
+        run_ablation(one, IDENTITY_GRID, csv_path, eval_count=1, log=lambda *_: None)
+        first = open(csv_path).read()
+        with pytest.raises(ValueError, match=re.escape(cid)):
+            run_ablation(two, IDENTITY_GRID, csv_path, eval_count=1, log=lambda *_: None)
+        assert open(csv_path).read() == first
+        seed0 = tmp_path / "abl" / "runs" / cid / "seed0" / "config.json"
+        assert json.load(open(seed0))["total_steps"] == 1
 
     def test_too_few_seeds_rejected(self, small_dataset, tmp_path):
         base = tiny_config(small_dataset, tmp_path)

@@ -9,8 +9,10 @@ benchmark op; here it fails this test instead.
 import importlib
 import os
 
+import numpy as np
 import pytest
 
+from handmesh import autograd as ag
 from handmesh.model import HandMeshModel
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -34,3 +36,19 @@ def test_kernel_layers_are_paper_model_modules(perfbench):
     names = set(perfbench["spans"].module_names(HandMeshModel()).values())
     missing = sorted(set(perfbench["kernels"].LAYERS.values()) - names)
     assert not missing
+
+
+def test_taped_step_records_every_kernel_layer(perfbench):
+    # the kernel table replays the conv calls recorded at Conv2d.__call__ and
+    # ConvTranspose2d.__call__; a layer run past them would report zeros
+    model = HandMeshModel()
+    x = ag.Tensor(np.random.default_rng(0).random((1, 22, 224, 224), dtype=np.float32))
+    tracer = perfbench["spans"].Tracer()
+    with tracer.installed(), tracer.region("op", op=0):
+        with ag.Tape() as tape:
+            out = model(x)
+            tape.backward(ag.sum_(out.vertices))
+    calls = tracer.conv_calls
+    missing = sorted(set(perfbench["kernels"].LAYERS.values()) - set(calls))
+    assert not missing
+    assert all(calls[layer]["backward"] for layer in perfbench["kernels"].LAYERS.values())

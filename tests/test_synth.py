@@ -257,6 +257,30 @@ class TestRenderInput:
             assert synth.render_input(s.J_2d, V_2d, out=out) is out
             assert out.tobytes() == want.astype("<f4").tobytes()
 
+    @pytest.mark.parametrize("corners", [
+        [(0, 0), (223, 223), (0, 223), (223, 0)],
+        [(0, 0), (3, 5)],
+        [(223, 223), (215, 219)],
+        [(200, 0), (223, 30)],
+        [(-4.0, 110.0), (6.0, 120.0)],
+        [(230.0, 111.4), (112.0, -9.0)],
+        [(111.6, 112.4)],
+    ], ids=["four-corners", "top-left", "bottom-right", "top-edge", "left-outside",
+            "clipped-outside", "one-bin"])
+    def test_silhouette_at_image_edges_matches_loop_oracle(self, corners):
+        # vertex bins that touch the edges and corners clip the blurred crop
+        # to the image, so the crop's border meets the filter's reflect border
+        rng = np.random.default_rng(70)
+        lo, hi = np.min(corners, axis=0), np.max(corners, axis=0)
+        V_2d = np.concatenate([np.array(corners, float), rng.uniform(lo, hi, (40, 2))])
+        J_2d = rng.uniform(0, synth.IMAGE_SIZE - 1, (synth.NUM_JOINTS, 2))
+        want = render_input_loop(J_2d, V_2d)
+        assert want[synth.NUM_JOINTS].max() == 1.0
+        assert synth.render_input(J_2d, V_2d).tobytes() == want.tobytes()
+        out = np.full((synth.NUM_JOINTS + 1, synth.IMAGE_SIZE, synth.IMAGE_SIZE), np.nan, np.float32)
+        synth.render_input(J_2d, V_2d, out=out)
+        assert out.tobytes() == want.astype("<f4").tobytes()
+
     def test_empty_silhouette_overwrites_out(self):
         J_2d = np.full((synth.NUM_JOINTS, 2), 100.0)
         V_2d = np.zeros((0, 2))

@@ -116,6 +116,13 @@ class TestToyBackbone:
         out = bb(Tensor(np.zeros((2, 3, 64, 64), dtype=np.float32)))
         assert np.all(out.data == 0.0)
 
+    def test_taped_forward_records_one_node_per_stage(self):
+        # each stage is one conv+bias+ReLU node
+        bb = ToyBackbone(3, substream(4, "bb"))
+        with Tape() as tape:
+            bb(Tensor(np.ones((1, 3, 32, 32), dtype=np.float32)))
+        assert len(tape) == 5
+
     def test_weight_gradients_finite_difference(self):
         bb = ToyBackbone(2, substream(2, "bb")).astype(np.float64)
         x = substream(3, "x").normal(size=(1, 2, 32, 32))

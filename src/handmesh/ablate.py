@@ -14,6 +14,7 @@ from dataclasses import asdict, replace
 from . import dataio
 from .config import ExperimentConfig
 from .evaluate import evaluate
+from .metrics import METRIC_COLUMNS
 from .train import load_trained_model, train
 
 GRID_AXES = ("sampler", "decoder")  # the paper's two halves
@@ -138,7 +139,7 @@ def summarize(csv_path):
         if len(configs) > 1:
             raise ValueError(f"cell {cid} has rows whose configs differ beyond seed and out_dir")
         summary = {"seeds": sorted(int(r["seed"]) for r in group)}
-        for col in ("pa_mpjpe_mm", "pa_mpvpe_mm", "mpjpe_mm", "mpvpe_mm", "f_at_05", "f_at_15"):
+        for col in METRIC_COLUMNS:
             vals = np.array([float(r[col]) for r in group])
             summary[col] = float(np.median(vals))
             q1, q3 = np.percentile(vals, [25, 75])

@@ -236,18 +236,6 @@ def transpose(x, axes):
     return out
 
 
-def getitem(x, key):
-    out = Tensor(x.data[key].copy(), requires_grad=_wants_grad(x))
-
-    def backward_fn(g):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, key, g)
-        _accum(x, gx)
-
-    _record(out, backward_fn)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # matmul and nonlinearities
 # ---------------------------------------------------------------------------
@@ -482,11 +470,11 @@ def _folds(x, geom, stride, padding, keep=False):
     """Yield each sample of x (B, C, H, W) folded to (C*s*s, hq*wq), with its max |v|.
 
     Fold channel (c, i, j) at (r, t) holds padded pixel (c, r*s + i, t*s + j).
-    With stride 1 and no padding the fold is a view of the sample. Otherwise
-    it is a copy into a buffer zeroed once per call, whose padding slots are
-    never written: one buffer refilled for every sample, so each fold is
-    valid only until the next is drawn, or with `keep` one slice per sample
-    of a (B, C*s*s, hq*wq) block (see _kept_folds). With padding > 0 the copy
+    Each fold is a copy into a buffer zeroed once per call, whose padding
+    slots are never written: one buffer refilled for every sample, so each
+    fold is valid only until the next is drawn, or with `keep` (for a weight
+    gradient, drawn as a list) one slice per sample of a (B, C*s*s, hq*wq)
+    block, so no two kept folds share memory. With padding > 0 the copy
     reads float32 subnormals as zero (denormals-are-zero): values below the
     dtype's smallest normal are zeroed. About 14% of the nonzero values of
     rendered inputs are float32 subnormals, every op that touches one takes
@@ -494,12 +482,8 @@ def _folds(x, geom, stride, padding, keep=False):
     flush and the max share one reused scratch buffer. The caller's array
     is never written, and float64 (tiny 2.2e-308) keeps its range.
     """
-    bsz, c, h, w = x.shape
+    bsz, c = x.shape[:2]
     hq, wq, phases = geom[2], geom[3], geom[6]
-    if stride == 1 and padding == 0:
-        for xb in x:
-            yield xb.reshape(c, h * w), max(xb.max(), -xb.min())
-        return
     tiny = np.finfo(x.dtype).tiny
     bufs = np.zeros((bsz if keep else 1, c, stride, stride, hq, wq), x.dtype)
     mag = np.empty((c * stride * stride, hq * wq), x.dtype)
@@ -514,11 +498,6 @@ def _folds(x, geom, stride, padding, keep=False):
             np.less(mag, tiny, out=small)
             np.copyto(xf, 0, where=small)
         yield xf, mag.max()
-
-
-def _kept_folds(x, geom, stride, padding):
-    """The folds of x as a list, for a weight gradient: no two share memory."""
-    return list(_folds(x, geom, stride, padding, keep=True))
 
 
 def _conv_fwd(folds, wt, geom, bsz):
@@ -609,7 +588,7 @@ def conv2d(x, w, b=None, stride=1, padding=0, relu=False):
     wt = _fold_weight(w.data, stride).astype(np.result_type(x.data, w.data), copy=False)
     requires_grad = _wants_grad(x, w) or (b is not None and _wants_grad(b))
     if requires_grad and w.requires_grad:
-        folds = _kept_folds(x.data, geom, stride, padding)
+        folds = list(_folds(x.data, geom, stride, padding, keep=True))
     else:
         folds = _folds(x.data, geom, stride, padding)
     y = _conv_fwd(folds, wt, geom, x.shape[0])
@@ -667,7 +646,7 @@ def conv_transpose2d(x, w, b=None, stride=2, padding=1):
         if b is not None:
             _accum(b, g.sum(axis=(0, 2, 3)))
         if w.requires_grad:
-            folds = _kept_folds(g, geom, stride, padding)
+            folds = list(_folds(g, geom, stride, padding, keep=True))
             _accum(w, _conv_dw(folds, x.data, geom, w.shape, stride))
         else:
             folds = _folds(g, geom, stride, padding)
@@ -686,7 +665,11 @@ def bilinear_sample(fmap, coords):
     """Sample fmap (B,C,H,W) at continuous pixel coords (B,N,2) -> (B,N,C).
 
     coords hold (x, y); out-of-range values are clamped to the border
-    before interpolation, so their gradient is zero outside the map.
+    before interpolation, so their gradient is zero outside the map. The
+    four corners are (B, N) flat indices into the map's (B, H*W, C) rows,
+    gathered forward and scattered back with np.add.at. Per axis the low
+    corner is floor(c) capped at n - 2, so a one-pixel axis reads its one
+    pixel as both corners.
     """
     if fmap.ndim != 4 or coords.ndim != 3 or coords.shape[-1] != 2:
         raise ValueError(
@@ -699,18 +682,17 @@ def bilinear_sample(fmap, coords):
     cy = np.clip(coords.data[..., 1], 0.0, h - 1.0)
     in_x = (coords.data[..., 0] >= 0.0) & (coords.data[..., 0] <= w - 1.0)
     in_y = (coords.data[..., 1] >= 0.0) & (coords.data[..., 1] <= h - 1.0)
-    x0 = np.minimum(np.floor(cx), w - 2).astype(np.intp) if w > 1 else np.zeros_like(cx, dtype=np.intp)
-    y0 = np.minimum(np.floor(cy), h - 2).astype(np.intp) if h > 1 else np.zeros_like(cy, dtype=np.intp)
+    x0 = np.minimum(np.floor(cx), max(w - 2, 0)).astype(np.intp)
+    y0 = np.minimum(np.floor(cy), max(h - 2, 0)).astype(np.intp)
     x1 = np.minimum(x0 + 1, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
     wx = (cx - x0).astype(fmap.dtype)
     wy = (cy - y0).astype(fmap.dtype)
 
     bb = np.arange(bsz)[:, None]
-    v00 = fmap.data[bb, :, y0, x0]  # (B, N, C)
-    v01 = fmap.data[bb, :, y0, x1]
-    v10 = fmap.data[bb, :, y1, x0]
-    v11 = fmap.data[bb, :, y1, x1]
+    corners = [(bb, y * w + x) for y, x in ((y0, x0), (y0, x1), (y1, x0), (y1, x1))]
+    rows = fmap.data.reshape(bsz, c, h * w).transpose(0, 2, 1)
+    v00, v01, v10, v11 = (rows[i] for i in corners)  # (B, N, C) each
     wxe = wx[..., None]
     wye = wy[..., None]
     top = v00 + wxe * (v01 - v00)
@@ -719,18 +701,13 @@ def bilinear_sample(fmap, coords):
 
     def backward_fn(g):
         if fmap.requires_grad:
-            gm = np.zeros_like(fmap.data)
-            n = coords.shape[1]
-            bi = np.broadcast_to(np.arange(bsz)[:, None, None], (bsz, n, c))
-            ci = np.broadcast_to(np.arange(c)[None, None, :], (bsz, n, c))
-            y0e = np.broadcast_to(y0[..., None], (bsz, n, c))
-            y1e = np.broadcast_to(y1[..., None], (bsz, n, c))
-            x0e = np.broadcast_to(x0[..., None], (bsz, n, c))
-            x1e = np.broadcast_to(x1[..., None], (bsz, n, c))
-            np.add.at(gm, (bi, ci, y0e, x0e), g * (1 - wxe) * (1 - wye))
-            np.add.at(gm, (bi, ci, y0e, x1e), g * wxe * (1 - wye))
-            np.add.at(gm, (bi, ci, y1e, x0e), g * (1 - wxe) * wye)
-            np.add.at(gm, (bi, ci, y1e, x1e), g * wxe * wye)
+            gm = np.zeros(fmap.shape, fmap.dtype)
+            grows = gm.reshape(bsz, c, h * w).transpose(0, 2, 1)
+            i00, i01, i10, i11 = corners
+            np.add.at(grows, i00, g * (1 - wxe) * (1 - wye))
+            np.add.at(grows, i01, g * wxe * (1 - wye))
+            np.add.at(grows, i10, g * (1 - wxe) * wye)
+            np.add.at(grows, i11, g * wxe * wye)
             _accum(fmap, gm)
         if coords.requires_grad:
             dvdx = (1 - wye) * (v01 - v00) + wye * (v11 - v10)

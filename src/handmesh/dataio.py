@@ -151,7 +151,3 @@ class Dataset:
 def save_checkpoint(path, state, meta=None):
     """state: name -> ndarray; dtypes are preserved bit-exactly."""
     write_record(path, state, meta=meta)
-
-
-def load_checkpoint(path):
-    return read_record(path)

@@ -12,9 +12,7 @@ import numpy as np
 
 from .autograd import Tensor
 from .losses import joints_from_vertices
-from .metrics import compute_report
-
-METRIC_COLUMNS = ("mpjpe_mm", "mpvpe_mm", "pa_mpjpe_mm", "pa_mpvpe_mm", "f_at_05", "f_at_15")
+from .metrics import METRIC_COLUMNS, compute_report
 
 
 def evaluate(model, dataset, out_dir=None, batch_size=8, indices=None):
@@ -43,7 +41,7 @@ def evaluate(model, dataset, out_dir=None, batch_size=8, indices=None):
             gt_j = joints_from_vertices(gt_v, J)
             pred_j = joints_from_vertices(V_pred[bi], J)
             rep = compute_report(V_pred[bi], gt_v, pred_j, gt_j)
-            rows.append((idx,) + tuple(getattr(rep, m) for m in METRIC_COLUMNS))
+            rows.append((idx,) + tuple(rep[m] for m in METRIC_COLUMNS))
     report = aggregate_rows(rows)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

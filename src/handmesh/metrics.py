@@ -7,10 +7,12 @@ off the corrected singular-value trace. Each aligned metric aligns its own
 point set (joints for PA-MPJPE, vertices for PA-MPVPE and the F-scores).
 """
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
+
+METRIC_COLUMNS = ("mpjpe_mm", "mpvpe_mm", "pa_mpjpe_mm", "pa_mpvpe_mm", "f_at_05", "f_at_15")
 
 
 @dataclass
@@ -21,19 +23,6 @@ class SimilarityTransform:
 
     def apply(self, points):
         return self.s * points @ self.R.T + self.t
-
-
-@dataclass
-class MetricsReport:
-    mpjpe_mm: float
-    mpvpe_mm: float
-    pa_mpjpe_mm: float
-    pa_mpvpe_mm: float
-    f_at_05: float
-    f_at_15: float
-
-    def to_dict(self):
-        return {k: float(v) for k, v in asdict(self).items()}
 
 
 def procrustes_align(P, G):
@@ -107,17 +96,19 @@ def f_score(P, G, tau_mm):
 
 
 def compute_report(pred_vertices, gt_vertices, pred_joints, gt_joints):
-    """All six metrics for one sample; F-scores are over mesh vertices.
+    """All six metrics for one sample, keyed by METRIC_COLUMNS; F-scores
+    are over mesh vertices.
 
     The vertices are aligned once; PA-MPVPE and both F-scores read that alignment.
     """
     _, aligned = procrustes_align(pred_vertices, gt_vertices)
     distances = _nn_distances(aligned, gt_vertices)
-    return MetricsReport(
-        mpjpe_mm=mean_euclidean(pred_joints, gt_joints),
-        mpvpe_mm=mean_euclidean(pred_vertices, gt_vertices),
-        pa_mpjpe_mm=pa_metric(pred_joints, gt_joints),
-        pa_mpvpe_mm=mean_euclidean(aligned, gt_vertices),
-        f_at_05=_f_at(distances, 5.0),
-        f_at_15=_f_at(distances, 15.0),
+    values = (
+        mean_euclidean(pred_joints, gt_joints),
+        mean_euclidean(pred_vertices, gt_vertices),
+        pa_metric(pred_joints, gt_joints),
+        mean_euclidean(aligned, gt_vertices),
+        _f_at(distances, 5.0),
+        _f_at(distances, 15.0),
     )
+    return dict(zip(METRIC_COLUMNS, values))

@@ -24,7 +24,7 @@ class HandMeshModel(Module):
         rng = substream(seed, "model-init")
         self.tokens = TokenGenerator(sampler_cfg, INPUT_CHANNELS, rng)
         self.regressor = MeshRegressor(decoder_cfg, expected_tokens(sampler_cfg),
-                                       self.tokens.out_channels, rng)
+                                       self.tokens.backbone.out_channels, rng)
 
     def __call__(self, image):
         tokens, keypoints_2d = self.tokens(image)

@@ -57,21 +57,11 @@ _ABDUCTION = 0.22
 
 
 @dataclass
-class TemplateMesh:
-    vertices: np.ndarray  # (778, 3) mm
-
-
-@dataclass
 class Skeleton:
     joints: np.ndarray  # (21, 3) mm
     parents: np.ndarray  # (21,) int, root 0 has parent -1
     limits: np.ndarray  # (21,) max rotation angle in radians
     flex_axes: np.ndarray  # (21, 3) unit flexion axis per joint
-
-
-@dataclass
-class SkinWeights:
-    W: np.ndarray  # (778, 21), row-stochastic, <= 4 nonzeros per row
 
 
 @dataclass
@@ -86,9 +76,9 @@ class HandSample:
 
 @dataclass
 class HandAssets:
-    template: TemplateMesh
+    vertices: np.ndarray  # (778, 3) template mesh, mm
     skeleton: Skeleton
-    weights: SkinWeights
+    W: np.ndarray  # (778, 21) skin weights, row-stochastic, <= 4 nonzeros per row
     J: np.ndarray  # (21, 778) regression matrix, rows sum to 1
 
 
@@ -142,7 +132,7 @@ def _build_mesh():
             verts.append(ring)
     vertices = np.concatenate(verts, axis=0)
     assert vertices.shape == (NUM_VERTICES, 3)
-    return TemplateMesh(vertices=vertices)
+    return vertices
 
 
 def _segment_distance(points, a, b):
@@ -172,12 +162,12 @@ def _influence_segments(skeleton):
     return segs
 
 
-def _build_weights(template, skeleton):
+def _build_weights(vertices, skeleton):
     segs = _influence_segments(skeleton)
     dists = np.full((NUM_VERTICES, NUM_JOINTS), np.inf)
     for j, seg_list in enumerate(segs):
         for a, b in seg_list:
-            dists[:, j] = np.minimum(dists[:, j], _segment_distance(template.vertices, a, b))
+            dists[:, j] = np.minimum(dists[:, j], _segment_distance(vertices, a, b))
     order = np.argsort(dists, axis=1)[:, :2]
     W = np.zeros((NUM_VERTICES, NUM_JOINTS))
     rows = np.arange(NUM_VERTICES)
@@ -185,21 +175,12 @@ def _build_weights(template, skeleton):
         j = order[:, k]
         W[rows, j] = 1.0 / (dists[rows, j] + _IDW_EPS) ** _IDW_POWER
     W /= W.sum(axis=1, keepdims=True)
-    return SkinWeights(W=W)
+    return W
 
 
-def build_template():
-    """Deterministic template construction; bit-identical across calls."""
-    skeleton = _build_skeleton()
-    template = _build_mesh()
-    weights = _build_weights(template, skeleton)
-    return template, skeleton, weights
-
-
-def regression_matrix_from_weights(weights):
+def regression_matrix_from_weights(W):
     """J = column-normalized transpose of W: each joint becomes a convex
     combination of the vertices it skins; rows sum to 1."""
-    W = weights.W if isinstance(weights, SkinWeights) else np.asarray(weights)
     col = W.sum(axis=0)
     if (col <= 0).any():
         bad = np.flatnonzero(col <= 0).tolist()
@@ -208,9 +189,11 @@ def regression_matrix_from_weights(weights):
 
 
 def build_assets():
-    template, skeleton, weights = build_template()
-    return HandAssets(template=template, skeleton=skeleton, weights=weights,
-                      J=regression_matrix_from_weights(weights))
+    """Deterministic asset construction; bit-identical across calls."""
+    skeleton = _build_skeleton()
+    vertices = _build_mesh()
+    W = _build_weights(vertices, skeleton)
+    return HandAssets(vertices=vertices, skeleton=skeleton, W=W, J=regression_matrix_from_weights(W))
 
 
 def _rotvec_to_matrix(rv):
@@ -275,12 +258,11 @@ def forward_kinematics(skeleton, pose):
     return R, t
 
 
-def skin(template, skeleton, weights, pose):
+def skin(assets, pose):
     """Linear blend skinning; output is root-centered (wrist at origin)."""
-    R, t = forward_kinematics(skeleton, pose)
-    W = weights.W
-    V = W @ t + np.einsum("vj,jab,vb->va", W, R, template.vertices, optimize=True)
-    root = R[0] @ skeleton.joints[0] + t[0]
+    R, t = forward_kinematics(assets.skeleton, pose)
+    V = assets.W @ t + np.einsum("vj,jab,vb->va", assets.W, R, assets.vertices, optimize=True)
+    root = R[0] @ assets.skeleton.joints[0] + t[0]
     return V - root
 
 
@@ -340,7 +322,7 @@ def generate_sample(assets, seed, out=None):
     """One fully self-consistent sample: J_3d := J @ V_3d, J_2d := project(J_3d).
     The input is rendered into `out` if given."""
     pose = sample_pose(assets.skeleton, substream(seed, "pose"))
-    V = skin(assets.template, assets.skeleton, assets.weights, pose)
+    V = skin(assets, pose)
     J3 = assets.J @ V
     camera = fit_camera(V, substream(seed, "camera"))
     V2 = project(V, camera)

@@ -177,10 +177,12 @@ def soft_argmax_2d(logits, image_size=224):
     return ag.matmul(p, centers)
 
 
-def sample_tokens(feat, cfg, kp_coords=None, coarse_coords=None, image_size=224):
+def sample_tokens(feat, cfg, coords=None, image_size=224):
     """Pool, enumerate, or point-sample the feature map into (B, N, C) tokens.
 
-    feat: (B, C, Hf, Wf); kp_coords / coarse_coords in full-image pixels.
+    feat: (B, C, Hf, Wf); coords (B, N, 2) in full-image pixels, the one
+    point set the keypoint and coarse_mesh variants sample at (the caller
+    picks it).
     """
     b, c, h, w = feat.shape
     if h != cfg.target_resolution or w != cfg.target_resolution:
@@ -190,7 +192,6 @@ def sample_tokens(feat, cfg, kp_coords=None, coarse_coords=None, image_size=224)
     elif cfg.variant == "grid":
         tokens = ag.transpose(ag.reshape(feat, (b, c, h * w)), (0, 2, 1))
     else:
-        coords = coarse_coords if cfg.variant == "coarse_mesh" else kp_coords
         if coords is None:
             raise ValueError(f"{cfg.variant} sampling needs predicted coordinates")
         tokens = ag.bilinear_sample(feat, feature_coords_from_image(coords, image_size / w))
@@ -203,7 +204,8 @@ class TokenGenerator(Module):
     """Backbone + upsampler + keypoint head(s) + the configured sampler.
 
     Returns the (B, N, C) tokens and the (B, 21, 2) keypoint coordinates in
-    full-image pixels.
+    full-image pixels. The coarse_mesh variant samples at its coarse head's
+    coordinates, every other variant at the keypoints.
     """
 
     def __init__(self, cfg, c_in, rng):
@@ -218,17 +220,12 @@ class TokenGenerator(Module):
             self.coarse_head = Conv2d(self.backbone.out_channels, COARSE_TOKENS, 1, rng)
             self.coarse_head.weight.data[:] = 0.0
 
-    @property
-    def out_channels(self):
-        return self.backbone.out_channels
-
     def __call__(self, image):
         image_size = image.shape[-1]
         feat = self.upsampler(self.backbone(image))
         kp_coords = soft_argmax_2d(self.kp_head(feat), image_size)
-        coarse_coords = None
+        coords = kp_coords
         if self.cfg.variant == "coarse_mesh":
-            coarse_coords = soft_argmax_2d(self.coarse_head(feat), image_size)
-        tokens = sample_tokens(feat, self.cfg, kp_coords=kp_coords,
-                               coarse_coords=coarse_coords, image_size=image_size)
+            coords = soft_argmax_2d(self.coarse_head(feat), image_size)
+        tokens = sample_tokens(feat, self.cfg, coords, image_size=image_size)
         return tokens, kp_coords

@@ -25,7 +25,6 @@ LOSS_BATCH = 16  # batch size of dataset_loss's gradient-free forwards
 class RunArtifacts:
     checkpoint: str
     log_csv: str
-    config_json: str
     initial_loss: float
     final_loss: float
 
@@ -72,8 +71,7 @@ def train(cfg):
 
     ckpt_path = os.path.join(cfg.out_dir, "checkpoint.bin")
     log_path = os.path.join(cfg.out_dir, "steps.csv")
-    cfg_path = os.path.join(cfg.out_dir, "config.json")
-    cfg.save(cfg_path)
+    cfg.save(os.path.join(cfg.out_dir, "config.json"))
 
     initial = dataset_loss(model, ds, ds.assets, cfg.loss_weights)
     with open(log_path, "w", newline="") as fh:
@@ -109,8 +107,7 @@ def train(cfg):
     model.zero_grad()
     final = dataset_loss(model, ds, ds.assets, cfg.loss_weights)
     dataio.save_checkpoint(ckpt_path, model.state_dict())
-    return RunArtifacts(checkpoint=ckpt_path, log_csv=log_path, config_json=cfg_path,
-                        initial_loss=initial, final_loss=final)
+    return RunArtifacts(checkpoint=ckpt_path, log_csv=log_path, initial_loss=initial, final_loss=final)
 
 
 def load_trained_model(run_dir):
@@ -119,6 +116,6 @@ def load_trained_model(run_dir):
 
     cfg = ExperimentConfig.load(os.path.join(run_dir, "config.json"))
     model = build_model(cfg)
-    state, _ = dataio.load_checkpoint(os.path.join(run_dir, "checkpoint.bin"))
+    state, _ = dataio.read_record(os.path.join(run_dir, "checkpoint.bin"))
     model.load_state_dict(state)
     return model, cfg

@@ -1,6 +1,6 @@
 """Shared test utilities: central finite-difference gradient checking, the
-ReLU node and the composed multi-head attention that fused nodes are
-checked against, and the per-joint input renderer."""
+ReLU and indexing nodes and the composed multi-head attention that fused
+nodes are checked against, and the per-joint input renderer."""
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
@@ -60,6 +60,19 @@ def relu(x):
     return out
 
 
+def getitem(x, key):
+    """x[key] as a tape node: the indexing step of `attention_composed`."""
+    out = Tensor(x.data[key].copy(), requires_grad=ag._wants_grad(x))
+
+    def backward_fn(g):
+        gx = np.zeros_like(x.data)
+        np.add.at(gx, key, g)
+        ag._accum(x, gx)
+
+    ag._record(out, backward_fn)
+    return out
+
+
 def attention_composed(qkv, heads):
     """Multi-head attention built from reshape/transpose/getitem/matmul/softmax
     tape primitives: the reference for the fused `ag.attention`."""
@@ -68,7 +81,7 @@ def attention_composed(qkv, heads):
     dh = c // heads
     qkv = ag.reshape(qkv, (b, n, 3, heads, dh))
     qkv = ag.transpose(qkv, (2, 0, 3, 1, 4))  # (3, B, heads, N, dh)
-    q, k, v = (ag.getitem(qkv, i) for i in range(3))
+    q, k, v = (getitem(qkv, i) for i in range(3))
     att = ag.matmul(q, ag.transpose(k, (0, 1, 3, 2)))
     att = ag.softmax(ag.mul(att, 1.0 / np.sqrt(dh)), axis=-1)
     y = ag.matmul(att, v)  # (B, heads, N, dh)

@@ -7,7 +7,7 @@ from handmesh import autograd as ag
 from handmesh.autograd import Tape, Tensor
 from handmesh.nn import SelfAttention
 
-from helpers import attention_composed, fd_gradcheck, relu
+from helpers import attention_composed, fd_gradcheck, getitem, relu
 
 
 # ---------------------------------------------------------------------------
@@ -702,6 +702,31 @@ class TestBilinearSample:
 
         assert fd_gradcheck(fn, [fmap, coords, c], rng=rng) < 1e-4
 
+    def test_repeated_point_doubles_map_gradient(self):
+        rng = np.random.default_rng(24)
+        fmap = rng.standard_normal((2, 3, 5, 6))
+        point = rng.uniform(0.3, 4.7, size=(2, 1, 2))
+        g = rng.standard_normal((2, 1, 3))
+        grads = []
+        for n in (1, 2):
+            fm = Tensor(fmap.copy(), requires_grad=True)
+            with Tape() as tape:
+                out = ag.bilinear_sample(fm, Tensor(np.repeat(point, n, axis=1)))
+                tape.backward(ag.sum_(ag.mul(out, Tensor(np.repeat(g, n, axis=1)))))
+            grads.append(fm.grad)
+        assert np.array_equal(grads[1], 2 * grads[0])
+
+    @pytest.mark.parametrize("shape", [(1, 2, 1, 6), (1, 2, 6, 1)], ids=["one-row", "one-column"])
+    def test_one_pixel_axis_matches_interp(self, shape):
+        rng = np.random.default_rng(25)
+        fmap = rng.standard_normal(shape)
+        line = fmap.reshape(2, 6)
+        t = np.linspace(-1.0, 7.0, 33)
+        xy = np.stack([t, t], axis=-1)[None]  # the one-pixel axis clamps to 0
+        got = ag.bilinear_sample(Tensor(fmap), Tensor(xy)).data[0]  # (33, 2)
+        want = np.stack([np.interp(t, np.arange(6), line[ch]) for ch in range(2)], axis=-1)
+        assert np.abs(got - want).max() < 1e-12
+
 
 # ---------------------------------------------------------------------------
 # tape mechanics and remaining primitives
@@ -838,7 +863,7 @@ class TestElementwisePrimitives:
             "abs": lambda a, b: ag.sum_(ag.abs_(ag.add(a, b))),
             "reshape": lambda a, b: reduce(ag.reshape(ag.add(a, b), (3, 20))),
             "transpose": lambda a, b: reduce(ag.transpose(ag.add(a, b), (2, 0, 1))),
-            "getitem": lambda a, b: reduce(ag.getitem(ag.add(a, b), (slice(None), slice(None), slice(1, 4)))),
+            "getitem": lambda a, b: reduce(getitem(ag.add(a, b), (slice(None), slice(None), slice(1, 4)))),
         }
         assert fd_gradcheck(fns[name], [a, b], rng=rng) < 1e-4
 

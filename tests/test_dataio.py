@@ -175,7 +175,7 @@ class TestCheckpoint:
         }
         path = tmp_path / "ckpt.bin"
         dataio.save_checkpoint(path, state, meta={"step": 12})
-        loaded, meta = dataio.load_checkpoint(path)
+        loaded, meta = dataio.read_record(path)
         assert meta["step"] == 12
         for k, v in state.items():
             assert loaded[k].dtype == v.dtype

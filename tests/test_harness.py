@@ -123,7 +123,7 @@ class TestTrain:
     def test_zero_steps_checkpoint_equals_initialization(self, small_dataset, tmp_path):
         cfg = tiny_config(small_dataset, tmp_path / "run", total_steps=0)
         art = train(cfg)
-        state, _ = dataio.load_checkpoint(art.checkpoint)
+        state, _ = dataio.read_record(art.checkpoint)
         fresh = build_model(cfg).state_dict()
         assert sorted(state) == sorted(fresh)
         for name in fresh:

@@ -270,25 +270,21 @@ class TestReport:
             gt_j = rng.normal(0, 40, (21, 3))
             rep = mx.compute_report(gt_v + rng.normal(0, 10, gt_v.shape), gt_v,
                                     gt_j + rng.normal(0, 10, gt_j.shape), gt_j)
-            assert rep.pa_mpjpe_mm <= rep.mpjpe_mm + 1e-9
-            assert rep.pa_mpvpe_mm <= rep.mpvpe_mm + 1e-9
-            assert 0.0 <= rep.f_at_05 <= 1.0
-            assert 0.0 <= rep.f_at_15 <= 1.0
-            assert rep.f_at_15 >= rep.f_at_05
+            assert tuple(rep) == mx.METRIC_COLUMNS
+            assert rep["pa_mpjpe_mm"] <= rep["mpjpe_mm"] + 1e-9
+            assert rep["pa_mpvpe_mm"] <= rep["mpvpe_mm"] + 1e-9
+            assert 0.0 <= rep["f_at_05"] <= 1.0
+            assert 0.0 <= rep["f_at_15"] <= 1.0
+            assert rep["f_at_15"] >= rep["f_at_05"]
 
     def test_oracle_predictor_scores_perfectly(self):
         rng = np.random.default_rng(21)
         gt_v = rng.normal(0, 40, (80, 3))
         gt_j = rng.normal(0, 40, (21, 3))
         rep = mx.compute_report(gt_v, gt_v, gt_j, gt_j)
-        assert rep.mpjpe_mm == 0.0 and rep.mpvpe_mm == 0.0
-        assert rep.pa_mpjpe_mm < 1e-9 and rep.pa_mpvpe_mm < 1e-9
-        assert rep.f_at_05 == 1.0 and rep.f_at_15 == 1.0
-
-    def test_report_round_trips_to_dict(self):
-        rep = mx.MetricsReport(1.0, 2.0, 0.5, 1.5, 0.9, 1.0)
-        d = rep.to_dict()
-        assert set(d) == {"mpjpe_mm", "mpvpe_mm", "pa_mpjpe_mm", "pa_mpvpe_mm", "f_at_05", "f_at_15"}
+        assert rep["mpjpe_mm"] == 0.0 and rep["mpvpe_mm"] == 0.0
+        assert rep["pa_mpjpe_mm"] < 1e-9 and rep["pa_mpvpe_mm"] < 1e-9
+        assert rep["f_at_05"] == 1.0 and rep["f_at_15"] == 1.0
 
     def test_matches_per_metric_functions(self):
         # the shared vertex alignment must give exactly what each metric
@@ -299,6 +295,6 @@ class TestReport:
             gt_j = rng.normal(0, 40, (21, 3))
             pred_v = gt_v + rng.normal(0, 6, gt_v.shape)
             rep = mx.compute_report(pred_v, gt_v, gt_j + rng.normal(0, 6, gt_j.shape), gt_j)
-            assert rep.pa_mpvpe_mm == mx.pa_metric(pred_v, gt_v)
-            assert rep.f_at_05 == mx.f_score(pred_v, gt_v, 5.0)
-            assert rep.f_at_15 == mx.f_score(pred_v, gt_v, 15.0)
+            assert rep["pa_mpvpe_mm"] == mx.pa_metric(pred_v, gt_v)
+            assert rep["f_at_05"] == mx.f_score(pred_v, gt_v, 5.0)
+            assert rep["f_at_15"] == mx.f_score(pred_v, gt_v, 15.0)

@@ -37,19 +37,19 @@ def fk_oracle(skeleton, pose, j):
     return R, t
 
 
-def lbs_oracle(template, skeleton, weights, pose):
-    transforms = [fk_oracle(skeleton, pose, j) for j in range(synth.NUM_JOINTS)]
-    V = np.zeros_like(template.vertices)
+def lbs_oracle(assets, pose):
+    transforms = [fk_oracle(assets.skeleton, pose, j) for j in range(synth.NUM_JOINTS)]
+    V = np.zeros_like(assets.vertices)
     for i in range(len(V)):
         acc = np.zeros(3)
         for j in range(synth.NUM_JOINTS):
-            w = weights.W[i, j]
+            w = assets.W[i, j]
             if w > 0:
                 R, t = transforms[j]
-                acc += w * (R @ template.vertices[i] + t)
+                acc += w * (R @ assets.vertices[i] + t)
         V[i] = acc
     R0, t0 = transforms[0]
-    return V - (R0 @ skeleton.joints[0] + t0)
+    return V - (R0 @ assets.skeleton.joints[0] + t0)
 
 
 def heatmap_sum_oracle(center, size, sigma):
@@ -65,11 +65,11 @@ def heatmap_sum_oracle(center, size, sigma):
 
 class TestBuildTemplate:
     def test_counts(self, assets):
-        assert assets.template.vertices.shape == (778, 3)
+        assert assets.vertices.shape == (778, 3)
         assert assets.skeleton.joints.shape == (21, 3)
 
     def test_bbox_diagonal_hand_scale(self, assets):
-        ext = assets.template.vertices.max(0) - assets.template.vertices.min(0)
+        ext = assets.vertices.max(0) - assets.vertices.min(0)
         assert 120.0 <= np.linalg.norm(ext) <= 250.0
 
     def test_parents_form_tree_rooted_at_zero(self, assets):
@@ -85,16 +85,17 @@ class TestBuildTemplate:
         assert (parents[1:] < np.arange(1, 21)).all()  # parents precede children
 
     def test_weight_rows_stochastic_and_sparse(self, assets):
-        W = assets.weights.W
+        W = assets.W
         assert (W >= 0).all()
         assert np.abs(W.sum(axis=1) - 1.0).max() < 1e-8
         assert (W > 0).sum(axis=1).max() <= 4
 
-    def test_repeated_builds_bit_identical(self, assets):
-        t2, s2, w2 = synth.build_template()
-        assert np.array_equal(assets.template.vertices, t2.vertices)
-        assert np.array_equal(assets.skeleton.joints, s2.joints)
-        assert np.array_equal(assets.weights.W, w2.W)
+    def test_repeated_builds_bit_identical(self):
+        a, b = synth.build_assets(), synth.build_assets()
+        assert np.array_equal(a.vertices, b.vertices)
+        assert np.array_equal(a.skeleton.joints, b.skeleton.joints)
+        assert np.array_equal(a.W, b.W)
+        assert np.array_equal(a.J, b.J)
 
 
 class TestRegressionMatrix:
@@ -121,7 +122,7 @@ class TestRegressionMatrix:
             synth.regression_matrix_from_weights(W)
 
     def test_identity_pose_joints_within_frozen_bound(self, assets):
-        est = assets.J @ assets.template.vertices
+        est = assets.J @ assets.vertices
         err = np.linalg.norm(est - assets.skeleton.joints, axis=1)
         assert err.max() < 10.0
 
@@ -173,23 +174,23 @@ class TestSamplePose:
 
 class TestSkin:
     def test_identity_pose_returns_centered_template(self, assets):
-        V = synth.skin(assets.template, assets.skeleton, assets.weights, np.zeros((21, 3)))
-        want = assets.template.vertices - assets.skeleton.joints[0]
+        V = synth.skin(assets, np.zeros((21, 3)))
+        want = assets.vertices - assets.skeleton.joints[0]
         assert np.abs(V - want).max() < 1e-12
 
     def test_global_rotation_is_rigid(self, assets):
         pose = np.zeros((21, 3))
         pose[0] = [0.4, -0.3, 0.8]
         R0 = Rotation.from_rotvec(pose[0]).as_matrix()
-        V = synth.skin(assets.template, assets.skeleton, assets.weights, pose)
-        want = (assets.template.vertices - assets.skeleton.joints[0]) @ R0.T
+        V = synth.skin(assets, pose)
+        want = (assets.vertices - assets.skeleton.joints[0]) @ R0.T
         scale = np.abs(want).max()
         assert np.abs(V - want).max() / scale < 1e-10
 
     def test_random_pose_matches_explicit_oracle(self, assets):
         pose = synth.sample_pose(assets.skeleton, substream(3, "pose"))
-        V = synth.skin(assets.template, assets.skeleton, assets.weights, pose)
-        want = lbs_oracle(assets.template, assets.skeleton, assets.weights, pose)
+        V = synth.skin(assets, pose)
+        want = lbs_oracle(assets, pose)
         scale = np.abs(want).max()
         assert np.abs(V - want).max() / scale < 1e-12
 

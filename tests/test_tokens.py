@@ -242,7 +242,7 @@ class TestSampleTokens:
         feat = rng.normal(size=(1, 4, 28, 28))
         cells = rng.integers(0, 28, size=(1, 21, 2))  # (x, y) feature cells
         coords_img = (cells + 0.5) * 8.0 - 0.5
-        tokens = sample_tokens(Tensor(feat), cfg, kp_coords=Tensor(coords_img))
+        tokens = sample_tokens(Tensor(feat), cfg, coords=Tensor(coords_img))
         want = feat[0, :, cells[0, :, 1], cells[0, :, 0]]
         assert np.abs(tokens.data[0] - want).max() < 1e-12
 
@@ -251,7 +251,7 @@ class TestSampleTokens:
         rng = substream(12, "feat")
         feat = rng.normal(size=(2, 6, 14, 14))
         coords_img = rng.uniform(0, 223, size=(2, 21, 2))
-        tokens = sample_tokens(Tensor(feat), cfg, kp_coords=Tensor(coords_img))
+        tokens = sample_tokens(Tensor(feat), cfg, coords=Tensor(coords_img))
         coords_f = (coords_img + 0.5) / 16.0 - 0.5
         want = bilinear_oracle(feat, coords_f)
         rel = np.abs(tokens.data - want).max() / np.abs(want).max()
@@ -263,10 +263,10 @@ class TestSampleTokens:
         feat = rng.normal(size=(1, 4, 28, 28))
         # keep every sampled neighborhood inside the left half of the map
         coords_img = rng.uniform(0, 80, size=(1, 21, 2))
-        base = sample_tokens(Tensor(feat), cfg, kp_coords=Tensor(coords_img)).data
+        base = sample_tokens(Tensor(feat), cfg, coords=Tensor(coords_img)).data
         poked = feat.copy()
         poked[:, :, :, 20:] += rng.normal(size=(1, 4, 28, 8))  # far columns only
-        again = sample_tokens(Tensor(poked), cfg, kp_coords=Tensor(coords_img)).data
+        again = sample_tokens(Tensor(poked), cfg, coords=Tensor(coords_img)).data
         assert np.array_equal(base, again)
 
     def test_coarse_mesh_needs_coords_and_counts_98(self):
@@ -275,14 +275,14 @@ class TestSampleTokens:
         with pytest.raises(ValueError):
             sample_tokens(feat, cfg)
         coords = Tensor(np.full((1, COARSE_TOKENS, 2), 100.0))
-        tokens = sample_tokens(feat, cfg, coarse_coords=coords)
+        tokens = sample_tokens(feat, cfg, coords=coords)
         assert tokens.shape == (1, COARSE_TOKENS, 4)
 
     def test_resolution_mismatch_rejected(self):
         cfg = SamplerConfig("keypoint", 28, "double-2x")
         with pytest.raises(ValueError):
             sample_tokens(Tensor(np.zeros((1, 4, 14, 14))), cfg,
-                          kp_coords=Tensor(np.zeros((1, 21, 2))))
+                          coords=Tensor(np.zeros((1, 21, 2))))
 
     def test_gradient_reaches_coordinates(self):
         cfg = SamplerConfig("keypoint", 14, "single-2x")
@@ -291,7 +291,7 @@ class TestSampleTokens:
         coords = Tensor(rng.uniform(40, 180, size=(1, 21, 2)), requires_grad=True)
 
         def fn(c):
-            tokens = sample_tokens(feat, cfg, kp_coords=c)
+            tokens = sample_tokens(feat, cfg, coords=c)
             return ag.sum_(ag.mul(tokens, tokens))
 
         assert fd_gradcheck(fn, [coords]) < 1e-3
@@ -325,6 +325,18 @@ class TestTokenGenerator:
         a, _ = gen(img)
         b, _ = gen(img)
         assert np.array_equal(a.data, b.data)
+
+    def test_coarse_mesh_samples_at_coarse_head_coordinates(self):
+        cfg = SamplerConfig("coarse_mesh", 28, "double-2x")
+        gen = TokenGenerator(cfg, 5, substream(21, "gen"))
+        # off zero, so the coarse and keypoint heads predict different points
+        w = gen.coarse_head.weight.data
+        w[:] = substream(22, "head").normal(size=w.shape)
+        img = self._image(23)
+        tokens, _ = gen(img)
+        feat = gen.upsampler(gen.backbone(img))
+        coarse_coords = soft_argmax_2d(gen.coarse_head(feat))
+        assert np.array_equal(tokens.data, sample_tokens(feat, cfg, coarse_coords).data)
 
     def test_gradient_flows_into_keypoint_head(self):
         cfg = SamplerConfig("keypoint", 14, "single-2x")

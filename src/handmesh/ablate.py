@@ -69,8 +69,8 @@ def run_ablation(base_cfg, grid, out_csv, seeds=(0, 1, 2), eval_count=500, log=p
     before any training, since its runs would overwrite those rows' run
     directories.
     """
-    if len(seeds) < 3:
-        raise ValueError(f"need at least 3 shared seeds, got {len(seeds)}")
+    if len(set(seeds)) < 3:
+        raise ValueError(f"need at least 3 distinct shared seeds, got {tuple(seeds)}")
     cells = []
     for cell in expand_grid(grid):
         cid = cell_id(cell)
@@ -107,9 +107,7 @@ def run_ablation(base_cfg, grid, out_csv, seeds=(0, 1, 2), eval_count=500, log=p
                 report, _ = evaluate(model, dataset, out_dir=run_dir, indices=eval_indices)
                 params_nb = model.param_count_split()[1]
                 steps_per_sec = cfg.total_steps / train_secs if train_secs > 0 else float("inf")
-                writer.writerow([cid, seed, repr(report["pa_mpjpe_mm"]), repr(report["pa_mpvpe_mm"]),
-                                 repr(report["mpjpe_mm"]), repr(report["mpvpe_mm"]),
-                                 repr(report["f_at_05"]), repr(report["f_at_15"]),
+                writer.writerow([cid, seed, *(repr(report[m]) for m in CSV_COLUMNS[2:8]),
                                  params_nb, f"{steps_per_sec:.4f}", cfg.total_steps,
                                  json.dumps(asdict(cfg), sort_keys=True)])
                 fh.flush()

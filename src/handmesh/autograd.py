@@ -147,19 +147,6 @@ def add(a, b):
     return out
 
 
-def sub(a, b):
-    a = _as_tensor(a, None)
-    b = _as_tensor(b, a.dtype)
-    out = Tensor(a.data - b.data, requires_grad=_wants_grad(a, b))
-
-    def backward_fn(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, -_unbroadcast(g, b.shape))
-
-    _record(out, backward_fn)
-    return out
-
-
 def mul(a, b):
     a = _as_tensor(a, None)
     b = _as_tensor(b, a.dtype)

@@ -1,6 +1,7 @@
 """One JSON-serializable config drives a full train/eval/bench run."""
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 from .losses import LossWeights
@@ -22,14 +23,16 @@ class ExperimentConfig:
     out_dir: str = ""
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {self.lr}")
-        if self.weight_decay < 0:
-            raise ValueError(f"weight decay must be nonnegative, got {self.weight_decay}")
-        if self.total_steps < 0:
-            raise ValueError(f"step count must be >= 0, got {self.total_steps}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
+        # json.load parses NaN and Infinity, and NaN fails every comparison
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"learning rate must be finite and positive, got {self.lr}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError(f"weight decay must be finite and nonnegative, got {self.weight_decay}")
+        for name, least in (("total_steps", 0), ("batch_size", 1), ("seed", 0)):
+            value = getattr(self, name)
+            # the exact type check also refuses bool
+            if type(value) is not int or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
     @classmethod
     def from_dict(cls, d):

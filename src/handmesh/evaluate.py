@@ -36,11 +36,10 @@ def evaluate(model, dataset, out_dir=None, batch_size=8, indices=None):
         batch = dataset.batch(chunk)
         out = model(Tensor(batch["input"]))
         V_pred = out.vertices.data.astype(np.float64)
-        for bi, idx in enumerate(chunk):
-            gt_v = batch["V_3d"][bi].astype(np.float64)
-            gt_j = joints_from_vertices(gt_v, J)
-            pred_j = joints_from_vertices(V_pred[bi], J)
-            rep = compute_report(V_pred[bi], gt_v, pred_j, gt_j)
+        V_gt = batch["V_3d"].astype(np.float64)
+        J3d_pred, J3d_gt = joints_from_vertices(V_pred, J), joints_from_vertices(V_gt, J)
+        for idx, pred_v, gt_v, pred_j, gt_j in zip(chunk, V_pred, V_gt, J3d_pred, J3d_gt):
+            rep = compute_report(pred_v, gt_v, pred_j, gt_j)
             rows.append((idx,) + tuple(rep[m] for m in METRIC_COLUMNS))
     report = aggregate_rows(rows)
     if out_dir is not None:

@@ -6,6 +6,7 @@ two routes agree by construction. The 2D term operates in full-image
 pixel units.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,42 +15,26 @@ from . import autograd as ag
 from .autograd import Tensor
 
 
-def _as_array(x):
-    return x.data if isinstance(x, Tensor) else np.asarray(x)
-
-
-def validate_regression_matrix(J):
-    """Rows must be convex-combination weights: nonnegative, summing to 1."""
-    J = np.asarray(J)
-    if J.ndim != 2:
-        raise ValueError(f"regression matrix must be 2D, got shape {J.shape}")
-    if (J < 0).any():
-        raise ValueError("regression matrix has negative entries")
-    row_sums = J.sum(axis=1)
-    if not np.allclose(row_sums, 1.0, atol=1e-8):
-        raise ValueError(f"regression matrix rows must sum to 1, got {row_sums}")
-    return J
-
-
 def joints_from_vertices(V, J):
-    """J (21,778) @ V (...,778,3) -> (...,21,3); differentiable when V is a Tensor."""
-    J = validate_regression_matrix(J)
+    """J (21,778) @ V (...,778,3) -> (...,21,3); differentiable when V is a Tensor.
+    J comes checked from synth.regression_matrix_from_weights."""
     v_shape = V.shape
     if v_shape[-2] != J.shape[1] or v_shape[-1] != 3:
         raise ValueError(f"vertex array {v_shape} incompatible with regression matrix {J.shape}")
     if isinstance(V, Tensor):
-        return ag.matmul(Tensor(J.astype(V.dtype)), V)
+        return ag.matmul(Tensor(J.astype(V.dtype, copy=False)), V)
     return np.matmul(J, V)
 
 
 def l1_mean(pred, gt):
     """Mean absolute difference over every element: sum|pred-gt| / (M*D)."""
-    gt_arr = _as_array(gt)
-    if pred.shape != gt_arr.shape:
-        raise ValueError(f"shape mismatch: pred {pred.shape} vs gt {gt_arr.shape}")
+    gt = np.asarray(gt)
+    if pred.shape != gt.shape:
+        raise ValueError(f"shape mismatch: pred {pred.shape} vs gt {gt.shape}")
     if isinstance(pred, Tensor):
-        return ag.mean(ag.abs_(ag.sub(pred, Tensor(gt_arr))))
-    return float(np.abs(pred - gt_arr).mean())
+        # a - b is a + (-b) bit for bit, values and gradients alike
+        return ag.mean(ag.abs_(ag.add(pred, Tensor(-gt))))
+    return float(np.abs(pred - gt).mean())
 
 
 @dataclass
@@ -59,8 +44,8 @@ class LossWeights:
     w_vert: float = 10.0
 
     def __post_init__(self):
-        if min(self.w_3d, self.w_2d, self.w_vert) <= 0:
-            raise ValueError(f"loss weights must be positive, got {self}")
+        if not all(math.isfinite(w) and w > 0 for w in (self.w_3d, self.w_2d, self.w_vert)):
+            raise ValueError(f"loss weights must be finite and positive, got {self}")
 
 
 @dataclass
@@ -76,6 +61,14 @@ class LossBreakdown:
                 "L_J2d": self.L_J2d, "total": self.total}
 
 
+def _float64_tensor(pred):
+    """A prediction as a float64 Tensor: all loss arithmetic runs in float64
+    regardless of model precision, so the breakdown recombines bit-exactly."""
+    if not isinstance(pred, Tensor):
+        return Tensor(np.asarray(pred, np.float64))
+    return pred if pred.dtype == np.float64 else ag.cast(pred, np.float64)
+
+
 def total_loss(V_pred, V_gt, J2d_pred, J2d_gt, J, weights=None):
     """Weighted sum of the three L1 terms; differentiable w.r.t. predictions.
 
@@ -83,18 +76,8 @@ def total_loss(V_pred, V_gt, J2d_pred, J2d_gt, J, weights=None):
     joints are recomputed here as J @ V_gt.
     """
     w = weights or LossWeights()
-    if not isinstance(V_pred, Tensor):
-        V_pred = Tensor(np.asarray(V_pred, dtype=float))
-    if not isinstance(J2d_pred, Tensor):
-        J2d_pred = Tensor(np.asarray(J2d_pred, dtype=float))
-    # all loss arithmetic runs in float64 regardless of model precision so
-    # the breakdown recombines bit-exactly
-    if V_pred.dtype != np.float64:
-        V_pred = ag.cast(V_pred, np.float64)
-    if J2d_pred.dtype != np.float64:
-        J2d_pred = ag.cast(J2d_pred, np.float64)
-    V_gt = _as_array(V_gt).astype(np.float64, copy=False)
-    J2d_gt = _as_array(J2d_gt).astype(np.float64, copy=False)
+    V_pred, J2d_pred = _float64_tensor(V_pred), _float64_tensor(J2d_pred)
+    V_gt, J2d_gt = np.asarray(V_gt, np.float64), np.asarray(J2d_gt, np.float64)
     J3d_gt = joints_from_vertices(V_gt, J)
     l_vert = l1_mean(V_pred, V_gt)
     l_j3d = l1_mean(joints_from_vertices(V_pred, J), J3d_gt)

@@ -178,14 +178,28 @@ def _build_weights(vertices, skeleton):
     return W
 
 
+def validate_regression_matrix(J):
+    """Rows must be convex-combination weights: nonnegative, summing to 1."""
+    J = np.asarray(J)
+    if J.ndim != 2:
+        raise ValueError(f"regression matrix must be 2D, got shape {J.shape}")
+    if (J < 0).any():
+        raise ValueError("regression matrix has negative entries")
+    row_sums = J.sum(axis=1)
+    if not np.allclose(row_sums, 1.0, atol=1e-8):
+        raise ValueError(f"regression matrix rows must sum to 1, got {row_sums}")
+    return J
+
+
 def regression_matrix_from_weights(W):
     """J = column-normalized transpose of W: each joint becomes a convex
-    combination of the vertices it skins; rows sum to 1."""
+    combination of the vertices it skins; rows sum to 1. The loss and the
+    metrics take J from here and do not check it again."""
     col = W.sum(axis=0)
     if (col <= 0).any():
         bad = np.flatnonzero(col <= 0).tolist()
         raise ValueError(f"joints with zero total skin weight: {bad}")
-    return (W / col).T
+    return validate_regression_matrix((W / col).T)
 
 
 def build_assets():

@@ -18,6 +18,7 @@ from handmesh.cli import main
 from handmesh.config import ExperimentConfig
 from handmesh.evaluate import evaluate, reaggregate_csv
 from handmesh.losses import total_loss
+from handmesh.metrics import METRIC_COLUMNS
 from handmesh.model import ModelOutput
 from handmesh.tokens import SamplerConfig
 from handmesh.train import build_model, load_trained_model, train
@@ -63,10 +64,20 @@ class TestConfig:
         assert ExperimentConfig.load(p) == cfg
 
     @pytest.mark.parametrize("kw", [dict(lr=0.0), dict(total_steps=-1),
-                                    dict(batch_size=0), dict(weight_decay=-0.1)])
+                                    dict(batch_size=0), dict(weight_decay=-0.1),
+                                    dict(lr=float("nan")), dict(lr=float("inf")),
+                                    dict(weight_decay=float("nan")), dict(weight_decay=float("inf")),
+                                    dict(batch_size=2.5), dict(total_steps=True),
+                                    dict(total_steps=2.0), dict(seed=-1), dict(seed=1.0)])
     def test_invalid_rejected(self, kw, tmp_path):
         with pytest.raises(ValueError):
             tiny_config("x", tmp_path, **kw)
+
+    def test_nan_learning_rate_in_file_rejected(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text('{"lr": NaN}\n')
+        with pytest.raises(ValueError, match="learning rate"):
+            ExperimentConfig.load(p)
 
 
 class TestGenDataCli:
@@ -388,6 +399,24 @@ class TestAblate:
         base = tiny_config(small_dataset, tmp_path)
         with pytest.raises(ValueError):
             run_ablation(base, IDENTITY_GRID, str(tmp_path / "x.csv"), seeds=(0, 1))
+
+    def test_repeated_seeds_rejected_before_training(self, small_dataset, tmp_path):
+        base = tiny_config(small_dataset, tmp_path / "unused")
+        csv_path = tmp_path / "abl" / "ablation.csv"
+        with pytest.raises(ValueError, match="distinct"):
+            run_ablation(base, IDENTITY_GRID, str(csv_path), seeds=(0, 0, 0))
+        assert not (tmp_path / "abl").exists()
+
+    def test_row_metrics_equal_run_reports(self, small_dataset, tmp_path):
+        base = tiny_config(small_dataset, tmp_path / "unused", total_steps=1, batch_size=1)
+        csv_path = str(tmp_path / "abl" / "ablation.csv")
+        run_ablation(base, IDENTITY_GRID, csv_path, eval_count=2, log=lambda *_: None)
+        rows = read_rows(csv_path)
+        assert len(rows) == 3
+        for row in rows:
+            run_dir = tmp_path / "abl" / "runs" / row["cell"].replace("|", "_") / f"seed{row['seed']}"
+            report = json.load(open(run_dir / "report.json"))
+            assert {m: float(row[m]) for m in METRIC_COLUMNS} == {m: report[m] for m in METRIC_COLUMNS}
 
 
 class TestBench:

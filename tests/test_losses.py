@@ -6,15 +6,9 @@ import numpy as np
 import pytest
 
 from handmesh.autograd import Tape, Tensor
-from handmesh.losses import (
-    LossWeights,
-    joints_from_vertices,
-    l1_mean,
-    total_loss,
-    validate_regression_matrix,
-)
+from handmesh.losses import LossWeights, joints_from_vertices, l1_mean, total_loss
 from handmesh.rng import substream
-from handmesh.synth import build_assets
+from handmesh.synth import build_assets, regression_matrix_from_weights, validate_regression_matrix
 
 from helpers import fd_gradcheck
 
@@ -48,6 +42,13 @@ class TestRegressionMatrixValidation:
         J[5] *= 1.5
         with pytest.raises(ValueError):
             validate_regression_matrix(J)
+
+    def test_builder_rejects_a_negative_entry(self):
+        # columns still sum to a positive total, so only the check on J catches it
+        W = build_assets().W.copy()
+        W[0, 0] = -0.01
+        with pytest.raises(ValueError, match="negative"):
+            regression_matrix_from_weights(W)
 
 
 class TestJointsFromVertices:
@@ -85,6 +86,16 @@ class TestJointsFromVertices:
         V = rng.normal(scale=50.0, size=(2, 778, 3))
         got = joints_from_vertices(Tensor(V), J)
         assert np.abs(got.data - joints_from_vertices(V, J)).max() < 1e-12
+
+    @pytest.mark.parametrize("wrap", [np.asarray, Tensor, lambda v: Tensor(v.astype(np.float32))],
+                             ids=["array", "tensor64", "tensor32"])
+    def test_stack_equals_per_sample_calls_bit_for_bit(self, wrap):
+        J = build_assets().J
+        V = substream(23, "V").normal(scale=50.0, size=(4, 778, 3))
+        data = lambda x: x.data if isinstance(x, Tensor) else x
+        stacked = data(joints_from_vertices(wrap(V), J))
+        for i in range(4):
+            assert np.array_equal(stacked[i], data(joints_from_vertices(wrap(V[i]), J)))
 
 
 class TestL1Mean:
@@ -145,7 +156,9 @@ class TestLossWeights:
         w = LossWeights()
         assert (w.w_3d, w.w_2d, w.w_vert) == (10.0, 1.0, 10.0)
 
-    @pytest.mark.parametrize("kwargs", [dict(w_3d=0.0), dict(w_2d=-1.0), dict(w_vert=0.0)])
+    @pytest.mark.parametrize("kwargs", [dict(w_3d=0.0), dict(w_2d=-1.0), dict(w_vert=0.0),
+                                        dict(w_3d=float("nan")), dict(w_2d=float("inf")),
+                                        dict(w_vert=float("nan"))])
     def test_nonpositive_weights_rejected(self, kwargs):
         with pytest.raises(ValueError):
             LossWeights(**kwargs)

@@ -227,14 +227,24 @@ def transpose(x, axes):
 # matmul and nonlinearities
 # ---------------------------------------------------------------------------
 
-def matmul(a, b):
+def matmul(a, b, bias=None):
+    """a @ b over the last two axes, batched over the leading ones.
+
+    A `bias` is broadcast onto the product and added in place to it, so an
+    affine map is one tape node with one output array.
+    """
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError(f"matmul expects matrices, got shapes {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul: inner dimensions disagree: {a.shape} vs {b.shape}")
-    out = Tensor(np.matmul(a.data, b.data), requires_grad=_wants_grad(a, b))
+    y = np.matmul(a.data, b.data)
+    if bias is not None:
+        y += bias.data
+    out = Tensor(y, requires_grad=_wants_grad(a, b) or (bias is not None and _wants_grad(bias)))
 
     def backward_fn(g):
+        if bias is not None:
+            _accum(bias, _unbroadcast(g, bias.shape))
         if a.requires_grad:
             _accum(a, _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.shape))
         if b.requires_grad:

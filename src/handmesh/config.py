@@ -23,11 +23,13 @@ class ExperimentConfig:
     out_dir: str = ""
 
     def __post_init__(self):
-        # json.load parses NaN and Infinity, and NaN fails every comparison
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise ValueError(f"learning rate must be finite and positive, got {self.lr}")
-        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
-            raise ValueError(f"weight decay must be finite and nonnegative, got {self.weight_decay}")
+        # json.load parses NaN and Infinity, and NaN fails every comparison;
+        # a JSON true/false loads as a bool, which passes both tests as 1/0
+        if isinstance(self.lr, bool) or not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"learning rate must be finite and positive, got {self.lr!r}")
+        if isinstance(self.weight_decay, bool) or not (math.isfinite(self.weight_decay)
+                                                       and self.weight_decay >= 0):
+            raise ValueError(f"weight decay must be finite and nonnegative, got {self.weight_decay!r}")
         for name, least in (("total_steps", 0), ("batch_size", 1), ("seed", 0)):
             value = getattr(self, name)
             # the exact type check also refuses bool

@@ -44,7 +44,8 @@ class LossWeights:
     w_vert: float = 10.0
 
     def __post_init__(self):
-        if not all(math.isfinite(w) and w > 0 for w in (self.w_3d, self.w_2d, self.w_vert)):
+        if not all(not isinstance(w, bool) and math.isfinite(w) and w > 0
+                   for w in (self.w_3d, self.w_2d, self.w_vert)):
             raise ValueError(f"loss weights must be finite and positive, got {self}")
 
 

@@ -85,7 +85,7 @@ class Affine(Module):
         self.bias = Tensor(np.zeros(fan_out, dtype=np.float32), requires_grad=True)
 
     def __call__(self, x):
-        return ag.add(ag.matmul(x, self.weight), self.bias)
+        return ag.matmul(x, self.weight, bias=self.bias)
 
 
 class Conv2d(Module):

@@ -74,7 +74,7 @@ class DecoderLayer(Module):
             x = ag.add(x, self.pos_emb)
         for block in self.blocks:
             x = block(x)
-        return ag.add(ag.matmul(self.up_weight, x), self.up_bias)
+        return ag.matmul(self.up_weight, x, bias=self.up_bias)
 
 
 class MeshRegressor(Module):

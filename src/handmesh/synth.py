@@ -66,7 +66,7 @@ class Skeleton:
 
 @dataclass
 class HandSample:
-    input: np.ndarray  # (22, 224, 224)
+    input: np.ndarray  # (22, 224, 224) float32, rendered in float64
     V_3d: np.ndarray  # (778, 3) mm, root-relative
     J_3d: np.ndarray  # (21, 3) mm, root-relative
     J_2d: np.ndarray  # (21, 2) px
@@ -334,7 +334,9 @@ def render_input(J_2d, V_2d, out=None):
 
 def generate_sample(assets, seed, out=None):
     """One fully self-consistent sample: J_3d := J @ V_3d, J_2d := project(J_3d).
-    The input is rendered into `out` if given."""
+    The input is rendered into `out` if given, else into a new float32 array."""
+    if out is None:
+        out = np.empty((NUM_JOINTS + 1, IMAGE_SIZE, IMAGE_SIZE), dtype=np.float32)
     pose = sample_pose(assets.skeleton, substream(seed, "pose"))
     V = skin(assets, pose)
     J3 = assets.J @ V

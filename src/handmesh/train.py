@@ -18,7 +18,9 @@ from .model import HandMeshModel
 from .optim import AdamW, lr_at_step
 from .rng import substream
 
-LOSS_BATCH = 16  # batch size of dataset_loss's gradient-free forwards
+# batch size of dataset_loss's gradient-free forwards: the training batch, so
+# each chunk fits in the heap a training step leaves free
+LOSS_BATCH = 4
 
 
 @dataclass
@@ -102,7 +104,7 @@ def train(cfg):
                              repr(bd.total), repr(opt.lr)])
 
     # the optimizer state and the last step's gradients are dead: free them,
-    # so the dataset loss's batch-16 forward reuses their memory
+    # so the dataset loss's forwards reuse their memory
     del opt
     model.zero_grad()
     final = dataset_loss(model, ds, ds.assets, cfg.loss_weights)

@@ -161,6 +161,41 @@ class TestMatmul:
             else:
                 assert np.array_equal(g, g_full)
 
+    # (a, b, bias) shapes of the decoder's two affine forms: an Affine
+    # layer's (D,) bias over its (B, N, C) @ (C, D), and the token
+    # upsampling's (D, 1) bias over its (D, N) @ (B, N, C)
+    BIAS_SHAPES = {"affine": ((2, 5, 3), (3, 4), (4,)),
+                   "token-upsampling": ((6, 5), (2, 5, 3), (6, 1))}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("form", sorted(BIAS_SHAPES))
+    def test_bias_matches_separate_add_bit_for_bit(self, form, dtype):
+        rng = np.random.default_rng(5)
+        arrays = [rng.standard_normal(s).astype(dtype) for s in self.BIAS_SHAPES[form]]
+        w = rng.standard_normal(np.matmul(arrays[0], arrays[1]).shape).astype(dtype)
+
+        def run(fused):
+            a, b, c = (Tensor(x.copy(), requires_grad=True) for x in arrays)
+            with Tape() as tape:
+                y = ag.matmul(a, b, bias=c) if fused else ag.add(ag.matmul(a, b), c)
+                tape.backward(ag.sum_(ag.mul(y, w)))
+            return [y.data, a.grad, b.grad, c.grad], len(tape)
+
+        fused, n_fused = run(True)
+        separate, n_separate = run(False)
+        assert (n_fused, n_separate) == (3, 4)
+        for got, want in zip(fused, separate):
+            assert got.dtype == dtype
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("form", sorted(BIAS_SHAPES))
+    def test_gradcheck_bias(self, form):
+        rng = np.random.default_rng(6)
+        a, b, c = (Tensor(rng.standard_normal(s), requires_grad=True)
+                   for s in self.BIAS_SHAPES[form])
+        err = fd_gradcheck(lambda a, b, c: ag.sum_(ag.gelu(ag.matmul(a, b, bias=c))), [a, b, c])
+        assert err < 1e-4
+
 
 # ---------------------------------------------------------------------------
 # softmax
@@ -270,13 +305,13 @@ class TestAttention:
             tracemalloc.stop()
         assert peak < b * heads * n * n * 4
 
-    def test_taped_self_attention_records_five_nodes(self):
-        # qkv matmul + bias, one attention node, proj matmul + bias
+    def test_taped_self_attention_records_three_nodes(self):
+        # qkv matmul with its bias, one attention node, proj matmul with its bias
         attn = SelfAttention(8, 2, np.random.default_rng(49))
         x = Tensor(np.random.default_rng(50).standard_normal((2, 5, 8)).astype(np.float32))
         with Tape() as tape:
             attn(x)
-        assert len(tape) == 5
+        assert len(tape) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -12,16 +12,17 @@ import numpy as np
 import pytest
 
 from handmesh import bench, dataio
+from handmesh import train as train_module
 from handmesh.ablate import apply_cell, cell_id, expand_grid, read_rows, run_ablation, summarize
 from handmesh.bench import run_bench
 from handmesh.cli import main
 from handmesh.config import ExperimentConfig
 from handmesh.evaluate import evaluate, reaggregate_csv
-from handmesh.losses import total_loss
+from handmesh.losses import LossWeights, total_loss
 from handmesh.metrics import METRIC_COLUMNS
 from handmesh.model import ModelOutput
 from handmesh.tokens import SamplerConfig
-from handmesh.train import build_model, load_trained_model, train
+from handmesh.train import build_model, dataset_loss, load_trained_model, train
 from handmesh.autograd import Tape, Tensor
 
 
@@ -68,10 +69,16 @@ class TestConfig:
                                     dict(lr=float("nan")), dict(lr=float("inf")),
                                     dict(weight_decay=float("nan")), dict(weight_decay=float("inf")),
                                     dict(batch_size=2.5), dict(total_steps=True),
-                                    dict(total_steps=2.0), dict(seed=-1), dict(seed=1.0)])
+                                    dict(total_steps=2.0), dict(seed=-1), dict(seed=1.0),
+                                    dict(lr=True), dict(weight_decay=False),
+                                    dict(weight_decay=True)])
     def test_invalid_rejected(self, kw, tmp_path):
         with pytest.raises(ValueError):
             tiny_config("x", tmp_path, **kw)
+
+    def test_int_and_numpy_float_rates_accepted(self, tmp_path):
+        cfg = tiny_config("x", tmp_path, lr=1, weight_decay=np.float32(0.5))
+        assert (cfg.lr, cfg.weight_decay) == (1, 0.5)
 
     def test_nan_learning_rate_in_file_rejected(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -167,7 +174,7 @@ class TestTrain:
         dump = json.loads((tmp_path / "run" / "nan_dump.json").read_text())
         assert {"step", "indices", "reason", "config"} <= set(dump)
 
-    def test_paper_config_step_records_91_tape_nodes(self, small_dataset):
+    def test_paper_config_step_records_72_tape_nodes(self, small_dataset):
         ds = dataio.Dataset(small_dataset)
         batch = ds.batch(np.arange(4))
         cfg = ExperimentConfig()
@@ -176,7 +183,27 @@ class TestTrain:
             out = model(Tensor(batch["input"]))
             total_loss(out.vertices, batch["V_3d"], out.keypoints_2d, batch["J_2d"],
                        ds.assets.J, cfg.loss_weights)
-        assert len(tape) == 91
+        assert len(tape) == 72
+
+    def test_dataset_loss_reads_at_most_the_loss_batch(self, small_dataset, monkeypatch):
+        # per-sample forwards do not depend on the batch, so only the
+        # chunk-mean summation moves with LOSS_BATCH
+        ds = dataio.Dataset(small_dataset)
+        model = build_model(ExperimentConfig())
+        sizes = []
+        read = ds.batch
+
+        def batch(idxs):
+            sizes.append(len(idxs))
+            return read(idxs)
+
+        monkeypatch.setattr(ds, "batch", batch)
+        got = dataset_loss(model, ds, ds.assets, LossWeights())
+        assert sum(sizes) == len(ds) and max(sizes) <= train_module.LOSS_BATCH < len(ds)
+        monkeypatch.setattr(train_module, "LOSS_BATCH", 16)
+        want = dataset_loss(model, ds, ds.assets, LossWeights())
+        assert sizes[-1] == len(ds)
+        assert abs(got - want) <= 1e-12 * abs(want)
 
     def test_missing_dataset_rejected(self, tmp_path):
         cfg = tiny_config(str(tmp_path / "nope"), tmp_path / "run")

@@ -158,10 +158,15 @@ class TestLossWeights:
 
     @pytest.mark.parametrize("kwargs", [dict(w_3d=0.0), dict(w_2d=-1.0), dict(w_vert=0.0),
                                         dict(w_3d=float("nan")), dict(w_2d=float("inf")),
-                                        dict(w_vert=float("nan"))])
+                                        dict(w_vert=float("nan")), dict(w_3d=True),
+                                        dict(w_2d=True), dict(w_vert=True)])
     def test_nonpositive_weights_rejected(self, kwargs):
         with pytest.raises(ValueError):
             LossWeights(**kwargs)
+
+    def test_int_and_numpy_float_weights_accepted(self):
+        w = LossWeights(w_3d=2, w_2d=np.float32(0.5), w_vert=np.float64(3.0))
+        assert (w.w_3d, w.w_2d, w.w_vert) == (2, 0.5, 3.0)
 
     def test_dict_round_trip(self):
         w = LossWeights(2.0, 3.0, 4.0)

@@ -253,6 +253,8 @@ class TestRenderInput:
             want = render_input_loop(s.J_2d, V_2d)
             got = synth.render_input(s.J_2d, V_2d)
             assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+            # the sample holds the same render, cast once to float32
+            assert s.input.tobytes() == want.astype("<f4").tobytes()
             # a poisoned buffer shows any element the float32 path leaves unwritten
             out.fill(np.nan)
             assert synth.render_input(s.J_2d, V_2d, out=out) is out

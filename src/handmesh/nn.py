@@ -30,10 +30,6 @@ class Module:
     def num_params(self):
         return int(sum(p.size for p in self.parameters()))
 
-    def zero_grad(self):
-        for p in self.parameters():
-            p.grad = None
-
     def state_dict(self):
         return {name: p.data.copy() for name, p in self.named_parameters()}
 

@@ -34,6 +34,10 @@ class DecoderConfig:
             seq = getattr(self, name)
             if len(seq) != len(self.d):
                 raise ValueError(f"len({name}) == {len(seq)} does not match len(d) == {len(self.d)}")
+        # an exact type check: a JSON true/false loads as a bool, an int subclass
+        if any(type(v) is not int for v in (*self.n, *self.d, *self.c, self.heads)):
+            raise ValueError(f"n, d, c and heads must be integers, got n={self.n}, d={self.d}, "
+                             f"c={self.c}, heads={self.heads!r}")
         if not isinstance(self.pos_emb, bool):
             raise ValueError(f"pos_emb must be true or false, got {self.pos_emb!r}")
         for mk in self.m:

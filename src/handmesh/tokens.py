@@ -16,21 +16,16 @@ from .autograd import Tensor
 from .nn import Conv2d, ConvTranspose2d, Module
 
 VARIANTS = ("global", "grid", "keypoint", "coarse_mesh")
-SCHEMES = ("none", "single-2x", "single-4x", "double-2x", "4x-with-extra-convs")
+# the transposed-conv strides of each upsampling scheme, applied to the 7x7 map
+_SCHEME_STRIDES = {"none": (), "single-2x": (2,), "single-4x": (4,), "double-2x": (2, 2),
+                   "4x-with-extra-convs": (2, 2)}
+SCHEMES = tuple(_SCHEME_STRIDES)
 
 NUM_KEYPOINTS = 21
 COARSE_TOKENS = 98  # every-8th vertex of the 778-vertex template
 # stage 0 is at least as wide as the input so every channel keeps a
 # pass-through slot under the smoothing init below
 BACKBONE_WIDTHS = (24, 32, 64, 64, 64)
-
-_SCHEME_RESOLUTION = {
-    "none": 7,
-    "single-2x": 14,
-    "single-4x": 28,
-    "double-2x": 28,
-    "4x-with-extra-convs": 28,
-}
 
 
 @dataclass
@@ -44,12 +39,13 @@ class SamplerConfig:
             raise ValueError(f"unknown sampler variant {self.variant!r}, expected one of {VARIANTS}")
         if self.upsample_scheme not in SCHEMES:
             raise ValueError(f"unknown upsample scheme {self.upsample_scheme!r}, expected one of {SCHEMES}")
-        if _SCHEME_RESOLUTION[self.upsample_scheme] != self.target_resolution:
-            raise ValueError(
-                f"scheme {self.upsample_scheme!r} yields resolution "
-                f"{_SCHEME_RESOLUTION[self.upsample_scheme]}, config asks for {self.target_resolution}"
-            )
-        if self.variant in ("global", "grid") and (self.target_resolution != 7 or self.upsample_scheme != "none"):
+        if type(self.target_resolution) is not int:  # the exact check also refuses bool
+            raise ValueError(f"target resolution must be an integer, got {self.target_resolution!r}")
+        resolution = 7 * int(np.prod(_SCHEME_STRIDES[self.upsample_scheme]))
+        if resolution != self.target_resolution:
+            raise ValueError(f"scheme {self.upsample_scheme!r} yields resolution {resolution}, "
+                             f"config asks for {self.target_resolution}")
+        if self.variant in ("global", "grid") and self.upsample_scheme != "none":
             raise ValueError(f"{self.variant} sampling runs at resolution 7 with no upsampling")
 
 
@@ -135,22 +131,14 @@ class FeatureUpsampler(Module):
 
     def __init__(self, scheme, channels, rng):
         self.steps = []
-        if scheme == "single-2x":
-            self._add_tconv(channels, 4, 2, 1, rng)
-        elif scheme == "single-4x":
-            self._add_tconv(channels, 8, 4, 2, rng)
-        elif scheme in ("double-2x", "4x-with-extra-convs"):
-            for _ in range(2):
-                self._add_tconv(channels, 4, 2, 1, rng)
-                if scheme == "4x-with-extra-convs":
-                    conv = Conv2d(channels, channels, 3, rng, stride=1, padding=1, relu=True)
-                    _add_smoothing_passthrough(conv)
-                    self.steps.append(("conv", conv))
-
-    def _add_tconv(self, channels, k, stride, padding, rng):
-        tconv = ConvTranspose2d(channels, channels, k, rng, stride=stride, padding=padding)
-        _add_bilinear_passthrough(tconv, stride)
-        self.steps.append(("tconv", tconv))
+        for s in _SCHEME_STRIDES[scheme]:
+            tconv = ConvTranspose2d(channels, channels, 2 * s, rng, stride=s, padding=s // 2)
+            _add_bilinear_passthrough(tconv, s)
+            self.steps.append(("tconv", tconv))
+            if scheme == "4x-with-extra-convs":
+                conv = Conv2d(channels, channels, 3, rng, stride=1, padding=1, relu=True)
+                _add_smoothing_passthrough(conv)
+                self.steps.append(("conv", conv))
 
     def __call__(self, x):
         for _, layer in self.steps:

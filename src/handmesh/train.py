@@ -68,7 +68,7 @@ def train(cfg):
     os.makedirs(cfg.out_dir, exist_ok=True)
     ds = dataio.Dataset(cfg.dataset)
     model = build_model(cfg)
-    opt = AdamW(model.parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
+    opt = AdamW(model.parameters(), cfg.weight_decay)
     order = substream(cfg.seed, "data-order")
 
     ckpt_path = os.path.join(cfg.out_dir, "checkpoint.bin")
@@ -82,7 +82,6 @@ def train(cfg):
         for step in range(cfg.total_steps):
             idxs = order.integers(0, len(ds), size=cfg.batch_size)
             batch = ds.batch(idxs)
-            model.zero_grad()
             with Tape() as tape:
                 try:
                     out = model(Tensor(batch["input"]))
@@ -98,15 +97,14 @@ def train(cfg):
             # probabilities; free them, the output and the input batch before
             # the optimizer step and the next batch read
             del tape, out, batch
-            opt.lr = lr_at_step(cfg.lr, step, cfg.total_steps)
-            opt.step()
+            lr = lr_at_step(cfg.lr, step, cfg.total_steps)
+            opt.step(lr)
             writer.writerow([step, repr(bd.L_vert), repr(bd.L_J3d), repr(bd.L_J2d),
-                             repr(bd.total), repr(opt.lr)])
+                             repr(bd.total), repr(lr)])
 
-    # the optimizer state and the last step's gradients are dead: free them,
-    # so the dataset loss's forwards reuse their memory
+    # the optimizer state is dead: free it, so the dataset loss's forwards
+    # reuse its memory
     del opt
-    model.zero_grad()
     final = dataset_loss(model, ds, ds.assets, cfg.loss_weights)
     dataio.save_checkpoint(ckpt_path, model.state_dict())
     return RunArtifacts(checkpoint=ckpt_path, log_csv=log_path, initial_loss=initial, final_loss=final)

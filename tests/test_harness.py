@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from handmesh import ablate as ablate_module
 from handmesh import bench, dataio
 from handmesh import train as train_module
 from handmesh.ablate import apply_cell, cell_id, expand_grid, read_rows, run_ablation, summarize
@@ -380,6 +381,25 @@ class TestAblate:
             "sampler=target_resolution=7,upsample_scheme=none,variant=global"}
         assert len(rows) == 3  # only the valid cell, all three seeds
         assert any("skipping cell" in line for line in logs)
+
+    def test_bool_block_count_cell_skipped_before_training(self, small_dataset, tmp_path, monkeypatch):
+        # a JSON true in `n` is not the one-block model `n=1-1-1`: the cell
+        # is refused at load, before the valid cell trains
+        base = tiny_config(small_dataset, tmp_path / "unused", total_steps=1, batch_size=1)
+        csv_path = str(tmp_path / "abl" / "ablation.csv")
+        events = []
+
+        def logged_train(cfg):
+            events.append("train")
+            return train(cfg)
+
+        monkeypatch.setattr(ablate_module, "train", logged_train)
+        grid = {"decoder": [{"n": [True, 1, 1]}, {"m": ["identity"] * 3}]}
+        run_ablation(base, grid, csv_path, eval_count=1, log=events.append)
+        assert {r["cell"] for r in read_rows(csv_path)} == {"decoder=m=identity-identity-identity"}
+        assert events[0] == ("skipping cell decoder=n=True-1-1: n, d, c and heads must be integers, "
+                             "got n=[True, 1, 1], d=[84, 336, 778], c=[256, 128, 64], heads=4")
+        assert events.count("train") == 3
 
     def test_csv_is_append_only(self, small_dataset, tmp_path):
         base = tiny_config(small_dataset, tmp_path / "unused", total_steps=1, batch_size=1)

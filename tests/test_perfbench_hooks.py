@@ -13,7 +13,10 @@ import numpy as np
 import pytest
 
 from handmesh import autograd as ag
+from handmesh import dataio
+from handmesh.config import ExperimentConfig
 from handmesh.model import HandMeshModel
+from handmesh.train import train
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -52,3 +55,18 @@ def test_taped_step_records_every_kernel_layer(perfbench):
     missing = sorted(set(perfbench["kernels"].LAYERS.values()) - set(calls))
     assert not missing
     assert all(calls[layer]["backward"] for layer in perfbench["kernels"].LAYERS.values())
+
+
+def test_traced_train_splits_each_step(perfbench, tmp_path):
+    # the step split keys on top-level spans of Dataset.batch, the model,
+    # total_loss, Tape.backward and AdamW.step; a call form the wrappers
+    # miss would leave its part at zero
+    data = str(tmp_path / "data")
+    dataio.generate_dataset(data, 4, 0)
+    cfg = ExperimentConfig(dataset=data, out_dir=str(tmp_path / "run"), total_steps=2, batch_size=2)
+    tracer = perfbench["spans"].Tracer()
+    with tracer.installed(), tracer.region("op", op=0):
+        train(cfg)
+    metrics = perfbench["spans"].summarize(tracer)
+    for part in ("data", "forward", "loss", "backward", "optim"):
+        assert metrics[f"train.step.{part}_ms"] > 0, part

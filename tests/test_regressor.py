@@ -68,6 +68,11 @@ class TestDecoderConfig:
         dict(n=[1], d=[778], m=["pool"], c=[64]),
         dict(n=[], d=[], m=[], c=[]),  # no layers
         dict(pos_emb="false"),  # a string, not a bool
+        dict(n=[True, 1, 1]),  # a JSON true, not a block count
+        dict(n=[1.0, 1, 1]),
+        dict(d=[84.0, 336, 778]),
+        dict(c=[256.0, 128, 64]),
+        dict(heads=4.0),
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -88,6 +88,8 @@ class TestSamplerConfig:
         ("nonsense", 7, "none"),
         ("keypoint", 28, "bicubic"),
         ("keypoint", 13, "none"),
+        ("grid", 7.0, "none"),  # a float, not a resolution
+        ("keypoint", 28.0, "double-2x"),
     ])
     def test_invalid_configs_rejected(self, variant, res, scheme):
         with pytest.raises(ValueError):

@@ -65,6 +65,10 @@ def _config_key(config):
 def run_ablation(base_cfg, grid, out_csv, seeds=(0, 1, 2), eval_count=500, log=print):
     """Train and evaluate every valid (cell, seed); append rows to out_csv.
 
+    Each run is scored on held-out samples: the next `eval_count` of the
+    training set's seed stream, which train() never draws, read through a
+    manifest written to `heldout/` beside out_csv.
+
     A cell that out_csv already holds under another config is refused
     before any training, since its runs would overwrite those rows' run
     directories.
@@ -87,11 +91,13 @@ def run_ablation(base_cfg, grid, out_csv, seeds=(0, 1, 2), eval_count=500, log=p
         if held.get(cid, set()) - {_config_key(asdict(cell_cfg))}:
             raise ValueError(f"cell {cid}: {out_csv} holds rows of another config for it, "
                              "whose run directories this run would overwrite")
-    dataset = dataio.Dataset(base_cfg.dataset)
-    count = len(dataset)
-    eval_indices = range(max(0, count - eval_count), count)
+    manifest = dataio.read_manifest(base_cfg.dataset)
+    count = manifest["count"]
     root = os.path.dirname(os.path.abspath(out_csv))
-    os.makedirs(root, exist_ok=True)
+    heldout_dir = os.path.join(root, "heldout")
+    dataio.generate_dataset(heldout_dir, count + eval_count, manifest["seed"])
+    dataset = dataio.Dataset(heldout_dir)
+    eval_indices = range(count, count + eval_count)
     with open(out_csv, "a", newline="") as fh:
         writer = csv.writer(fh)
         if new_file:

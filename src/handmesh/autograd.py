@@ -3,8 +3,10 @@
 Everything the decoder differentiates through lives here: elementwise
 arithmetic, matmul, softmax, multi-head attention, layer norm, conv2d /
 transposed conv2d and bilinear point sampling. Forward math is plain
-numpy; each primitive records a backward closure on the active Tape, and
-Tape.backward replays the record in reverse execution order.
+numpy; each primitive defines a backward closure and returns its output
+through _node, the one place that decides whether the output requires a
+gradient and records the closure on the active Tape. Tape.backward replays
+the record in reverse execution order.
 
 Outside a `with Tape():` block nothing is recorded, which doubles as
 inference mode.
@@ -60,11 +62,12 @@ class Tensor:
 class Tape:
     """Execution-ordered computation record for one forward pass.
 
-    While active, every primitive whose inputs carry requires_grad appends
-    (output, backward_fn). backward(loss) seeds d(loss)/d(loss) = 1 and
-    walks the record in reverse, so replay order is deterministic. Each
-    output's gradient is dropped once its backward_fn has consumed it;
-    leaves, which are never recorded outputs, keep theirs.
+    While active, _node appends (output, backward_fn) for each primitive
+    call with an input that requires a gradient. backward(loss) seeds
+    d(loss)/d(loss) = 1 and walks the record in reverse, so replay order
+    is deterministic. Each output's gradient is dropped once its
+    backward_fn has consumed it; leaves, which are never recorded outputs,
+    keep theirs.
     """
 
     def __init__(self):
@@ -103,13 +106,19 @@ def _as_tensor(x, dtype):
     return Tensor(np.asarray(x, dtype=dtype))
 
 
-def _record(out, backward_fn):
-    if _ACTIVE_TAPE is not None and out.requires_grad:
-        _ACTIVE_TAPE._nodes.append((out, backward_fn))
-
-
 def _wants_grad(*tensors):
-    return _ACTIVE_TAPE is not None and any(t.requires_grad for t in tensors)
+    """True when a Tape is active and some tensor (None is skipped) requires a gradient."""
+    return _ACTIVE_TAPE is not None and any(t is not None and t.requires_grad for t in tensors)
+
+
+def _node(value, backward_fn, *inputs):
+    """The output Tensor of a primitive over `inputs`: the one place the tape's
+    rule is stated. The output requires a gradient, and (out, backward_fn) is
+    appended to the active Tape, exactly when _wants_grad(*inputs)."""
+    out = Tensor(value, requires_grad=_wants_grad(*inputs))
+    if out.requires_grad:
+        _ACTIVE_TAPE._nodes.append((out, backward_fn))
+    return out
 
 
 def _accum(t, g):
@@ -137,90 +146,72 @@ def _unbroadcast(g, shape):
 def add(a, b):
     a = _as_tensor(a, None)
     b = _as_tensor(b, a.dtype)
-    out = Tensor(a.data + b.data, requires_grad=_wants_grad(a, b))
 
     def backward_fn(g):
         _accum(a, _unbroadcast(g, a.shape))
         _accum(b, _unbroadcast(g, b.shape))
 
-    _record(out, backward_fn)
-    return out
+    return _node(a.data + b.data, backward_fn, a, b)
 
 
 def mul(a, b):
     a = _as_tensor(a, None)
     b = _as_tensor(b, a.dtype)
-    out = Tensor(a.data * b.data, requires_grad=_wants_grad(a, b))
 
     def backward_fn(g):
         _accum(a, _unbroadcast(g * b.data, a.shape))
         _accum(b, _unbroadcast(g * a.data, b.shape))
 
-    _record(out, backward_fn)
-    return out
+    return _node(a.data * b.data, backward_fn, a, b)
 
 
 def sum_(x, axis=None, keepdims=False):
-    out = Tensor(x.data.sum(axis=axis, keepdims=keepdims), requires_grad=_wants_grad(x))
-
     def backward_fn(g):
         if axis is not None and not keepdims:
-            ax = axis if isinstance(axis, tuple) else (axis,)
-            g = np.expand_dims(g, ax)
+            g = np.expand_dims(g, axis)
         _accum(x, np.broadcast_to(g, x.shape))
 
-    _record(out, backward_fn)
-    return out
+    return _node(x.data.sum(axis=axis, keepdims=keepdims), backward_fn, x)
 
 
-def mean(x, axis=None, keepdims=False):
+def mean(x, axis=None):
     n = x.size if axis is None else np.prod(
         [x.shape[a] for a in (axis if isinstance(axis, tuple) else (axis,))]
     )
-    out = Tensor(x.data.mean(axis=axis, keepdims=keepdims), requires_grad=_wants_grad(x))
 
     def backward_fn(g):
-        if axis is not None and not keepdims:
-            ax = axis if isinstance(axis, tuple) else (axis,)
-            g = np.expand_dims(g, ax)
+        if axis is not None:
+            g = np.expand_dims(g, axis)
         _accum(x, np.broadcast_to(g, x.shape) / x.dtype.type(n))
 
-    _record(out, backward_fn)
-    return out
+    return _node(x.data.mean(axis=axis), backward_fn, x)
 
 
 def abs_(x):
-    out = Tensor(np.abs(x.data), requires_grad=_wants_grad(x))
     # subgradient at 0 is 0: np.sign(0) == 0
     sign = np.sign(x.data)
 
     def backward_fn(g):
         _accum(x, g * sign)
 
-    _record(out, backward_fn)
-    return out
+    return _node(np.abs(x.data), backward_fn, x)
 
 
 def reshape(x, shape):
-    out = Tensor(x.data.reshape(shape), requires_grad=_wants_grad(x))
-
     def backward_fn(g):
         _accum(x, g.reshape(x.shape))
 
-    _record(out, backward_fn)
-    return out
+    return _node(x.data.reshape(shape), backward_fn, x)
 
 
 def transpose(x, axes):
     axes = tuple(axes)
-    out = Tensor(np.ascontiguousarray(x.data.transpose(axes)), requires_grad=_wants_grad(x))
     inv = np.argsort(axes)
 
     def backward_fn(g):
         _accum(x, g.transpose(inv))
 
-    _record(out, backward_fn)
-    return out
+    return _node(np.ascontiguousarray(x.data.transpose(axes)), backward_fn, x)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +231,6 @@ def matmul(a, b, bias=None):
     y = np.matmul(a.data, b.data)
     if bias is not None:
         y += bias.data
-    out = Tensor(y, requires_grad=_wants_grad(a, b) or (bias is not None and _wants_grad(bias)))
 
     def backward_fn(g):
         if bias is not None:
@@ -250,44 +240,36 @@ def matmul(a, b, bias=None):
         if b.requires_grad:
             _accum(b, _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.shape))
 
-    _record(out, backward_fn)
-    return out
+    return _node(y, backward_fn, a, b, bias)
 
 
 def cast(x, dtype):
     """Dtype conversion; the gradient is cast back to the input's dtype."""
-    out = Tensor(x.data.astype(dtype), requires_grad=_wants_grad(x))
-
     def backward_fn(g):
         _accum(x, g.astype(x.dtype))
 
-    _record(out, backward_fn)
-    return out
+    return _node(x.data.astype(dtype), backward_fn, x)
 
 
 def gelu(x):
     phi = 0.5 * (1.0 + erf(x.data * x.dtype.type(_INV_SQRT2)))
-    out = Tensor(x.data * phi, requires_grad=_wants_grad(x))
 
     def backward_fn(g):
         dens = np.exp(-0.5 * x.data * x.data) * x.dtype.type(_INV_SQRT2PI)
         _accum(x, g * (phi + x.data * dens))
 
-    _record(out, backward_fn)
-    return out
+    return _node(x.data * phi, backward_fn, x)
 
 
 def softmax(x, axis=-1):
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(y, requires_grad=_wants_grad(x))
 
     def backward_fn(g):
         _accum(x, y * (g - (g * y).sum(axis=axis, keepdims=True)))
 
-    _record(out, backward_fn)
-    return out
+    return _node(y, backward_fn, x)
 
 
 def attention(qkv, heads):
@@ -324,7 +306,6 @@ def attention(qkv, heads):
             np.exp(p, out=p)
             p /= p.sum(axis=1, keepdims=True)
             np.matmul(p, v, out=y[bi, :, hi])
-    out = Tensor(y.reshape(bsz, n, c), requires_grad=requires_grad)
 
     def backward_fn(g):
         g = g.reshape(bsz, n, heads, dh)
@@ -347,8 +328,7 @@ def attention(qkv, heads):
                 np.matmul(dp.T, q, out=gk)
         _accum(qkv, gx.reshape(qkv.shape))
 
-    _record(out, backward_fn)
-    return out
+    return _node(y.reshape(bsz, n, c), backward_fn, qkv)
 
 
 def layer_norm(x, gamma, beta, eps=1e-5):
@@ -361,7 +341,6 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + x.dtype.type(eps))
     xhat = xc * inv
-    out = Tensor(gamma.data * xhat + beta.data, requires_grad=_wants_grad(x, gamma, beta))
 
     def backward_fn(g):
         reduce_axes = tuple(range(g.ndim - 1))
@@ -376,8 +355,7 @@ def layer_norm(x, gamma, beta, eps=1e-5):
             )
             _accum(x, dx)
 
-    _record(out, backward_fn)
-    return out
+    return _node(gamma.data * xhat + beta.data, backward_fn, x, gamma, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -583,8 +561,7 @@ def conv2d(x, w, b=None, stride=1, padding=0, relu=False):
         raise ValueError(f"conv2d: stride must be >= 1, got {stride}")
     geom = _geometry(*x.shape[2:], *w.shape[2:], stride, padding)
     wt = _fold_weight(w.data, stride).astype(np.result_type(x.data, w.data), copy=False)
-    requires_grad = _wants_grad(x, w) or (b is not None and _wants_grad(b))
-    if requires_grad and w.requires_grad:
+    if _wants_grad(w):
         folds = list(_folds(x.data, geom, stride, padding, keep=True))
     else:
         folds = _folds(x.data, geom, stride, padding)
@@ -593,7 +570,6 @@ def conv2d(x, w, b=None, stride=1, padding=0, relu=False):
         y += b.data[:, None, None]
     if relu:
         np.maximum(y, 0, out=y)
-    out = Tensor(y, requires_grad=requires_grad)
 
     def backward_fn(g):
         if relu:
@@ -605,8 +581,7 @@ def conv2d(x, w, b=None, stride=1, padding=0, relu=False):
         if x.requires_grad:
             _accum(x, _conv_dx(g, wt, geom, x.shape, stride))
 
-    _record(out, backward_fn)
-    return out
+    return _node(y, backward_fn, x, w, b)
 
 
 def conv_transpose2d(x, w, b=None, stride=2, padding=1):
@@ -637,21 +612,17 @@ def conv_transpose2d(x, w, b=None, stride=2, padding=1):
     y = _conv_dx(x.data, wt, geom, out_shape, stride)
     if b is not None:
         y += b.data[:, None, None]
-    out = Tensor(y, requires_grad=_wants_grad(x, w) or (b is not None and _wants_grad(b)))
 
     def backward_fn(g):
         if b is not None:
             _accum(b, g.sum(axis=(0, 2, 3)))
+        folds = list(_folds(g, geom, stride, padding, keep=True))
         if w.requires_grad:
-            folds = list(_folds(g, geom, stride, padding, keep=True))
             _accum(w, _conv_dw(folds, x.data, geom, w.shape, stride))
-        else:
-            folds = _folds(g, geom, stride, padding)
         if x.requires_grad:
             _accum(x, _conv_fwd(folds, wt, geom, bsz))
 
-    _record(out, backward_fn)
-    return out
+    return _node(y, backward_fn, x, w, b)
 
 
 # ---------------------------------------------------------------------------
@@ -694,7 +665,6 @@ def bilinear_sample(fmap, coords):
     wye = wy[..., None]
     top = v00 + wxe * (v01 - v00)
     bot = v10 + wxe * (v11 - v10)
-    out = Tensor(top + wye * (bot - top), requires_grad=_wants_grad(fmap, coords))
 
     def backward_fn(g):
         if fmap.requires_grad:
@@ -713,5 +683,4 @@ def bilinear_sample(fmap, coords):
             gy = (g * dvdy).sum(axis=-1) * in_y
             _accum(coords, np.stack([gx, gy], axis=-1).astype(coords.dtype))
 
-    _record(out, backward_fn)
-    return out
+    return _node(top + wye * (bot - top), backward_fn, fmap, coords)

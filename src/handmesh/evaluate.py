@@ -18,9 +18,10 @@ from .metrics import METRIC_COLUMNS, compute_report
 def evaluate(model, dataset, out_dir=None, batch_size=8, indices=None):
     """Forward `model` over `dataset` and score each sample.
 
-    Ground-truth joints are derived from stored vertices through the
-    regression matrix (the same route the prediction side takes), so a
-    perfect vertex predictor scores exactly zero on every error metric.
+    Ground-truth joints come from each sample's vertices, rendered on
+    read, through the regression matrix (the same route the prediction
+    side takes), so a perfect vertex predictor scores exactly zero on
+    every error metric.
     Returns (report dict, per-sample rows). Rows carry the dataset index
     plus the six metric columns in METRIC_COLUMNS order.
     """

@@ -6,7 +6,6 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from handmesh import autograd as ag
-from handmesh.autograd import Tensor
 from handmesh.synth import HEATMAP_SIGMA, IMAGE_SIZE, NUM_JOINTS
 
 
@@ -51,26 +50,20 @@ def fd_gradcheck(fn, tensors, step=1e-5, rng=None, max_checks=64):
 def relu(x):
     """max(x, 0) as a tape node of its own: the reference for the ReLU that
     `ag.conv2d(..., relu=True)` fuses into the conv."""
-    out = Tensor(np.maximum(x.data, 0), requires_grad=ag._wants_grad(x))
-
     def backward_fn(g):
         ag._accum(x, g * (x.data > 0))
 
-    ag._record(out, backward_fn)
-    return out
+    return ag._node(np.maximum(x.data, 0), backward_fn, x)
 
 
 def getitem(x, key):
     """x[key] as a tape node: the indexing step of `attention_composed`."""
-    out = Tensor(x.data[key].copy(), requires_grad=ag._wants_grad(x))
-
     def backward_fn(g):
         gx = np.zeros_like(x.data)
         np.add.at(gx, key, g)
         ag._accum(x, gx)
 
-    ag._record(out, backward_fn)
-    return out
+    return ag._node(x.data[key].copy(), backward_fn, x)
 
 
 def attention_composed(qkv, heads):

@@ -842,6 +842,50 @@ class TestTape:
             assert np.array_equal(g, leaf.grad)
 
 
+# every differentiable primitive, as (call, [(input name, shape), ...])
+PRIMITIVE_CALLS = {
+    "add": (ag.add, [("a", (2, 3)), ("b", (2, 3))]),
+    "mul": (ag.mul, [("a", (2, 3)), ("b", (2, 3))]),
+    "sum_": (lambda x: ag.sum_(x, axis=1), [("x", (2, 3))]),
+    "mean": (ag.mean, [("x", (2, 3))]),
+    "abs_": (ag.abs_, [("x", (2, 3))]),
+    "reshape": (lambda x: ag.reshape(x, (3, 2)), [("x", (2, 3))]),
+    "transpose": (lambda x: ag.transpose(x, (1, 0)), [("x", (2, 3))]),
+    "matmul": (ag.matmul, [("a", (2, 3)), ("b", (3, 4)), ("bias", (4,))]),
+    "cast": (lambda x: ag.cast(x, np.float32), [("x", (2, 3))]),
+    "gelu": (ag.gelu, [("x", (2, 3))]),
+    "softmax": (ag.softmax, [("x", (2, 3))]),
+    "attention": (lambda qkv: ag.attention(qkv, 2), [("qkv", (1, 3, 12))]),
+    "layer_norm": (ag.layer_norm, [("x", (2, 3)), ("gamma", (3,)), ("beta", (3,))]),
+    "conv2d": (lambda x, w, b: ag.conv2d(x, w, b, padding=1),
+               [("x", (1, 2, 4, 4)), ("w", (3, 2, 3, 3)), ("b", (3,))]),
+    "conv_transpose2d": (ag.conv_transpose2d, [("x", (1, 2, 3, 3)), ("w", (2, 3, 4, 4)), ("b", (3,))]),
+    "bilinear_sample": (ag.bilinear_sample, [("fmap", (1, 2, 4, 4)), ("coords", (1, 3, 2))]),
+}
+
+
+class TestRecordingRule:
+    """An output requires a gradient, and is one tape node, exactly when a
+    Tape is active and some input requires a gradient."""
+
+    @pytest.mark.parametrize("name,wants", [
+        pytest.param(name, i, id=f"{name}-{arg}")
+        for name, (_, args) in PRIMITIVE_CALLS.items() for i, (arg, _) in enumerate(args)])
+    def test_one_node_exactly_when_an_input_wants_grad(self, name, wants):
+        fn, args = PRIMITIVE_CALLS[name]
+        rng = np.random.default_rng(29)
+        inputs = [Tensor(rng.random(shape) * 3) for _, shape in args]
+        with Tape() as tape:
+            assert not fn(*inputs).requires_grad
+        assert len(tape) == 0
+        inputs[wants].requires_grad = True
+        assert not fn(*inputs).requires_grad
+        with Tape() as tape:
+            out = fn(*inputs)
+        assert out.requires_grad
+        assert len(tape) == 1 and tape._nodes[0][0] is out
+
+
 class TestElementwisePrimitives:
     def test_relu_values_and_zero_subgradient(self):
         x = Tensor(np.array([-1.0, 0.0, 2.0]), requires_grad=True)

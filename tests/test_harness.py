@@ -465,6 +465,38 @@ class TestAblate:
             report = json.load(open(run_dir / "report.json"))
             assert {m: float(row[m]) for m in METRIC_COLUMNS} == {m: report[m] for m in METRIC_COLUMNS}
 
+    def test_scores_only_samples_training_never_reads(self, small_dataset, tmp_path, monkeypatch):
+        base = tiny_config(small_dataset, tmp_path / "unused", total_steps=2, batch_size=2)
+        csv_path = str(tmp_path / "abl" / "ablation.csv")
+        phase, read = [], {"train": set(), "evaluate": set()}  # sample seeds each phase renders
+
+        def in_phase(name, fn):
+            def wrapped(*args, **kwargs):
+                phase.append(name)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    phase.pop()
+            return wrapped
+
+        def logged_batch(ds, indices):
+            read[phase[-1]].update(dataio.sample_seed(ds.seed, i) for i in indices)
+            return real_batch(ds, indices)
+
+        real_batch = dataio.Dataset.batch
+        monkeypatch.setattr(ablate_module, "train", in_phase("train", train))
+        monkeypatch.setattr(ablate_module, "evaluate", in_phase("evaluate", evaluate))
+        monkeypatch.setattr(dataio.Dataset, "batch", logged_batch)
+        run_ablation(base, IDENTITY_GRID, csv_path, eval_count=3, log=lambda *_: None)
+        count = len(dataio.Dataset(small_dataset))
+        for row in read_rows(csv_path):
+            run_dir = tmp_path / "abl" / "runs" / row["cell"].replace("|", "_") / f"seed{row['seed']}"
+            with open(run_dir / "per_sample.csv", newline="") as fh:
+                indices = [int(r["index"]) for r in csv.DictReader(fh)]
+            assert indices == [count, count + 1, count + 2]
+        assert read["train"] and read["evaluate"]
+        assert not read["train"] & read["evaluate"]
+
 
 class TestBench:
     def test_param_counts_stable_across_runs(self, tmp_path):

@@ -75,6 +75,8 @@ def run_ablation(base_cfg, grid, out_csv, seeds=(0, 1, 2), eval_count=500, log=p
     """
     if len(set(seeds)) < 3:
         raise ValueError(f"need at least 3 distinct shared seeds, got {tuple(seeds)}")
+    if type(eval_count) is not int or eval_count < 1:  # the exact check also refuses bool
+        raise ValueError(f"eval_count must be an integer >= 1, got {eval_count!r}")
     cells = []
     for cell in expand_grid(grid):
         cid = cell_id(cell)

@@ -15,9 +15,12 @@ Convolutions build no column matrix. The padded input is folded
 space-to-depth, so a stride-s conv becomes a stride-1 conv with ceil(k/s)
 taps per axis, and each tap is one GEMM on a strided view of one sample's
 fold. Three helpers (forward, input gradient, weight gradient) serve
-conv2d and, as its adjoint, conv_transpose2d. Padded folds read float32
-subnormals as zero, and each GEMM scales one operand by an exact power of
-two so that products of tiny normal values stay normal (see _pow2).
+conv2d and, as its adjoint, conv_transpose2d. No fold outlives the pass
+that draws it: the tape keeps a conv's input, as it keeps matmul's, plus
+the batch's largest fold magnitude, and backward folds the input again.
+Padded folds read float32 subnormals as zero, and each GEMM scales one
+operand by an exact power of two so that products of tiny normal values
+stay normal (see _pow2).
 """
 
 import numpy as np
@@ -27,6 +30,8 @@ _ACTIVE_TAPE = None
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# fold elements _folds flushes and reduces per step (256 KiB of float32 scratch)
+_FOLD_BLOCK = 1 << 16
 
 
 class Tensor:
@@ -425,8 +430,12 @@ def _pow2(fixed, scaled, terms, dtype):
     the scaled GEMM times 2**-k is bit-identical to the unscaled one whenever
     the unscaled one never left the normal range; otherwise products of tiny
     normal values (heatmap tails times 1e-3 weights) stay normal instead of
-    turning subnormal, each of which would take a microcode assist.
+    turning subnormal, each of which would take a microcode assist. A NaN
+    or infinite bound gives k = 0: frexp reads it as below 1, and a scale
+    sized by that would overflow the operand's finite products.
     """
+    if not (np.isfinite(fixed) and np.isfinite(scaled)):
+        return 0
     fi = np.finfo(dtype)
     ef, es = int(np.frexp(fixed)[1]), int(np.frexp(scaled)[1])  # |v| < 2**e
     head = max(ef + (terms - 1).bit_length(), 0)
@@ -441,38 +450,49 @@ def _pad_cols(gb, wq, scale):
     return gq.reshape(cout, ho * wq)
 
 
-def _folds(x, geom, stride, padding, keep=False):
+def _folds(x, geom, stride, padding):
     """Yield each sample of x (B, C, H, W) folded to (C*s*s, hq*wq), with its max |v|.
 
     Fold channel (c, i, j) at (r, t) holds padded pixel (c, r*s + i, t*s + j).
-    Each fold is a copy into a buffer zeroed once per call, whose padding
-    slots are never written: one buffer refilled for every sample, so each
-    fold is valid only until the next is drawn, or with `keep` (for a weight
-    gradient, drawn as a list) one slice per sample of a (B, C*s*s, hq*wq)
-    block, so no two kept folds share memory. With padding > 0 the copy
-    reads float32 subnormals as zero (denormals-are-zero): values below the
-    dtype's smallest normal are zeroed. About 14% of the nonzero values of
-    rendered inputs are float32 subnormals, every op that touches one takes
-    a slow microcode assist, and numpy cannot set the CPU's DAZ flag. The
-    flush and the max share one reused scratch buffer. The caller's array
-    is never written, and float64 (tiny 2.2e-308) keeps its range.
+    Every sample is copied into one buffer, zeroed once per call, whose
+    padding slots are never written, so each fold is valid only until the
+    next is drawn; a caller that needs the folds again draws them again.
+    The copy runs one block of channels at a time, and each block's
+    magnitudes are reduced to the max while it is still in cache, through
+    scratch of at most _FOLD_BLOCK elements. With padding > 0 the copy reads
+    float32 subnormals as zero (denormals-are-zero): values with |v| below
+    the dtype's smallest normal are zeroed, so NaN and inf are kept. About
+    14% of the nonzero values of rendered inputs are float32 subnormals,
+    every op that touches one takes a slow microcode assist, and numpy cannot
+    set the CPU's DAZ flag. The caller's array is never written, and float64
+    (tiny 2.2e-308) keeps its range.
     """
-    bsz, c = x.shape[:2]
+    c = x.shape[1]
     hq, wq, phases = geom[2], geom[3], geom[6]
     tiny = np.finfo(x.dtype).tiny
-    bufs = np.zeros((bsz if keep else 1, c, stride, stride, hq, wq), x.dtype)
-    mag = np.empty((c * stride * stride, hq * wq), x.dtype)
-    small = np.empty(mag.shape, bool)
-    for bi, xb in enumerate(x):
-        xf = bufs[bi if keep else 0]
-        for i, j, fr, fc, xr, xc in phases:
-            xf[:, i, j, fr, fc] = xb[:, xr, xc]
-        xf = xf.reshape(mag.shape)
-        np.abs(xf, out=mag)
-        if padding:
-            np.less(mag, tiny, out=small)
-            np.copyto(xf, 0, where=small)
-        yield xf, mag.max()
+    per_c = stride * stride * hq * wq
+    cb = min(c, max(1, _FOLD_BLOCK // per_c))  # channels per block
+    span = min(_FOLD_BLOCK, cb * per_c)
+    buf = np.zeros((c, stride, stride, hq, wq), x.dtype)
+    flat = buf.reshape(-1)
+    mag = np.empty(span, x.dtype)
+    small = np.empty(span, bool)
+    for xb in x:
+        amax = x.dtype.type(0)
+        for c0 in range(0, c, cb):
+            block = buf[c0 : c0 + cb]
+            for i, j, fr, fc, xr, xc in phases:
+                block[:, i, j, fr, fc] = xb[c0 : c0 + cb, xr, xc]
+            end = (c0 + len(block)) * per_c
+            for lo in range(c0 * per_c, end, span):
+                v = flat[lo : min(lo + span, end)]
+                m = mag[: v.size]
+                np.abs(v, out=m)
+                if padding:
+                    np.less(m, tiny, out=small[: v.size])
+                    np.copyto(v, 0, where=small[: v.size])
+                amax = np.maximum(amax, m.max())
+        yield buf.reshape(c * stride * stride, hq * wq), amax
 
 
 def _conv_fwd(folds, wt, geom, bsz):
@@ -480,7 +500,8 @@ def _conv_fwd(folds, wt, geom, bsz):
 
     Tap t adds wt[t] @ fold[:, offs[t]:offs[t] + n] into a (Cout, ho*wq)
     accumulator, whose wq - wo junk columns per row are dropped. Each
-    sample scales the taps by its own 2**k.
+    sample scales the taps by its own 2**k. Returns the output and the
+    largest fold max of the batch, which bounds the folds for _conv_dw.
     """
     ho, wo, _, wq, offs, n, _ = geom
     cout, one = wt.shape[1], wt.dtype.type(1)
@@ -488,14 +509,16 @@ def _conv_fwd(folds, wt, geom, bsz):
     y = np.empty((bsz, cout, ho, wo), wt.dtype)
     acc = np.empty((cout, ho * wq), wt.dtype)
     tmp = np.empty((cout, n), wt.dtype)
+    peaks = []
     for yb, (xf, ax) in zip(y, folds):
+        peaks.append(ax)
         k = _pow2(ax, aw, wt.shape[0] * wt.shape[2], wt.dtype)
         acc.fill(0)
         for off, ws in zip(offs, wt * np.ldexp(one, k)):
             np.matmul(ws, xf[:, off : off + n], out=tmp)
             acc[:, :n] += tmp
         np.multiply(acc.reshape(cout, ho, wq)[:, :, :wo], np.ldexp(one, -k), out=yb)
-    return y
+    return y, max(peaks)
 
 
 def _conv_dx(g, wt, geom, x_shape, stride):
@@ -522,18 +545,20 @@ def _conv_dx(g, wt, geom, x_shape, stride):
     return dx
 
 
-def _conv_dw(folds, g, geom, w_shape, stride):
+def _conv_dw(folds, amax, g, geom, w_shape, stride):
     """Weight gradient sum_b g_b fold_b^T per tap, unfolded to w_shape.
 
-    g is scaled by one 2**k for the whole batch, so the sum over samples
-    accumulates in the scaled range and is unscaled once.
+    `folds` streams one fold per sample of g, each consumed before the next
+    is drawn, and `amax`, a scalar of the folds' dtype, bounds them all (the
+    forward's batch max). g is scaled by one 2**k for the whole batch, so the
+    sum over samples accumulates in the scaled range and is unscaled once.
     """
     _, _, _, wq, offs, n, _ = geom
-    dtype = np.result_type(g, folds[0][0])
+    dtype = np.result_type(g, amax.dtype)
     one = dtype.type(1)
-    k = _pow2(max(a for _, a in folds), max(g.max(), -g.min()), len(folds) * n, dtype)
+    k = _pow2(amax, max(g.max(), -g.min()), len(g) * n, dtype)
     # (Cf, n) @ (n, Cout) ran ~25% faster than (Cout, n) @ (n, Cf) on stage 0's shapes
-    dwt = np.zeros((len(offs), folds[0][0].shape[0], g.shape[1]), dtype)
+    dwt = np.zeros((len(offs), w_shape[1] * stride * stride, g.shape[1]), dtype)
     tmp = np.empty(dwt.shape[1:], dtype)
     for gb, (xf, _) in zip(g, folds):
         gqt = _pad_cols(gb, wq, np.ldexp(one, k))[:, :n].T
@@ -547,9 +572,10 @@ def _conv_dw(folds, g, geom, w_shape, stride):
 def conv2d(x, w, b=None, stride=1, padding=0, relu=False):
     """Cross-correlation (no kernel flip): x (B,Cin,H,W), w (Cout,Cin,kh,kw).
 
-    Runs as _conv_fwd over _folds of x; backward keeps the folds for the
-    weight gradient (_conv_dw) only when w wants one, and the input
-    gradient is _conv_dx. With `relu` the bias and max(., 0) are applied in
+    Runs as _conv_fwd over _folds of x and keeps only the batch's fold max.
+    Backward folds x.data again for the weight gradient (_conv_dw), reading
+    the input as matmul's backward does, and the input gradient is
+    _conv_dx. With `relu` the bias and max(., 0) are applied in
     place to the conv's own output, and backward first masks g by out > 0,
     so the whole conv+bias+ReLU is one tape node with one output array.
     """
@@ -561,11 +587,7 @@ def conv2d(x, w, b=None, stride=1, padding=0, relu=False):
         raise ValueError(f"conv2d: stride must be >= 1, got {stride}")
     geom = _geometry(*x.shape[2:], *w.shape[2:], stride, padding)
     wt = _fold_weight(w.data, stride).astype(np.result_type(x.data, w.data), copy=False)
-    if _wants_grad(w):
-        folds = list(_folds(x.data, geom, stride, padding, keep=True))
-    else:
-        folds = _folds(x.data, geom, stride, padding)
-    y = _conv_fwd(folds, wt, geom, x.shape[0])
+    y, amax = _conv_fwd(_folds(x.data, geom, stride, padding), wt, geom, x.shape[0])
     if b is not None:
         y += b.data[:, None, None]
     if relu:
@@ -577,7 +599,7 @@ def conv2d(x, w, b=None, stride=1, padding=0, relu=False):
         if b is not None:
             _accum(b, g.sum(axis=(0, 2, 3)))
         if w.requires_grad:
-            _accum(w, _conv_dw(folds, g, geom, w.shape, stride))
+            _accum(w, _conv_dw(_folds(x.data, geom, stride, padding), amax, g, geom, w.shape, stride))
         if x.requires_grad:
             _accum(x, _conv_dx(g, wt, geom, x.shape, stride))
 
@@ -590,8 +612,10 @@ def conv_transpose2d(x, w, b=None, stride=2, padding=1):
     Geometry is restricted to exact integer upsampling (k - 2p == s). With
     w read in conv2d's (Cout, Cin, kh, kw) layout from the output map back
     to x, the forward is conv2d's input gradient (_conv_dx), the input
-    gradient is conv2d's forward over the fold of g (_conv_fwd), and the
-    weight gradient is conv2d's with x in the role of g.
+    gradient is conv2d's forward over the folds of g (_conv_fwd), and the
+    weight gradient is conv2d's with x in the role of g. Backward streams
+    the folds of g twice: the input-gradient pass, which always runs,
+    yields their batch max, and the weight-gradient pass folds g again.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ValueError(f"conv_transpose2d expects 4D input/weight, got {x.shape} and {w.shape}")
@@ -616,11 +640,10 @@ def conv_transpose2d(x, w, b=None, stride=2, padding=1):
     def backward_fn(g):
         if b is not None:
             _accum(b, g.sum(axis=(0, 2, 3)))
-        folds = list(_folds(g, geom, stride, padding, keep=True))
+        gx, amax = _conv_fwd(_folds(g, geom, stride, padding), wt, geom, bsz)
+        _accum(x, gx)
         if w.requires_grad:
-            _accum(w, _conv_dw(folds, x.data, geom, w.shape, stride))
-        if x.requires_grad:
-            _accum(x, _conv_fwd(folds, wt, geom, bsz))
+            _accum(w, _conv_dw(_folds(g, geom, stride, padding), amax, x.data, geom, w.shape, stride))
 
     return _node(y, backward_fn, x, w, b)
 

@@ -429,6 +429,45 @@ class TestConv2d:
             tracemalloc.stop()
         assert peak < 2 * x.data.nbytes
 
+    def test_taped_stage0_conv_retains_only_its_output(self):
+        # the tape keeps the input by reference and the batch's fold max;
+        # backward folds x.data again instead of keeping a copy of the folds
+        import tracemalloc
+
+        rng = np.random.default_rng(19)
+        x = Tensor(rng.random((4, 22, 224, 224), dtype=np.float32))
+        w = Tensor(rng.standard_normal((24, 22, 4, 4)).astype(np.float32), requires_grad=True)
+        b = Tensor(np.zeros(24, np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            with Tape():
+                y = ag.conv2d(x, w, b, stride=2, padding=1)
+                retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained <= y.data.nbytes + 2**20
+
+    def test_fold_wider_than_a_block_matches_oracles(self):
+        # one channel's fold, 4 * 129 * 129 elements, spans two flush blocks
+        rng = np.random.default_rng(20)
+        x = rng.standard_normal((1, 3, 256, 256))
+        w = rng.standard_normal((2, 3, 3, 3))
+        r = rng.standard_normal((1, 2, 128, 128))
+        hq, wq = ag._geometry(256, 256, 3, 3, 2, 1)[2:4]
+        assert 4 * hq * wq > ag._FOLD_BLOCK
+        wt = Tensor(w, requires_grad=True)
+        with Tape() as tape:
+            y = ag.conv2d(Tensor(x), wt, stride=2, padding=1)
+            tape.backward(ag.sum_(ag.mul(y, Tensor(r))))
+        want = conv2d_loops(x, w, None, 2, 1)
+        assert np.abs(y.data - want).max() / np.abs(want).max() < 1e-12
+        xp = np.pad(x[0], ((0, 0), (1, 1), (1, 1)))
+        dw = np.empty(w.shape)
+        for u in range(3):
+            for v in range(3):
+                dw[:, :, u, v] = np.einsum("oij,cij->oc", r[0], xp[:, u : u + 256 : 2, v : v + 256 : 2])
+        assert np.abs(wt.grad - dw).max() / np.abs(dw).max() < 1e-12
+
 
 class TestConv2dRelu:
     """conv2d(..., relu=True) is conv2d then ReLU, fused into one tape node."""
@@ -575,6 +614,45 @@ class TestConvReadsSubnormalsAsZero:
         assert y.tobytes() == y0.tobytes()
         assert dw.tobytes() == dw0.tobytes()
         assert db.tobytes() == db0.tobytes()
+
+    def test_nan_and_inf_are_kept(self):
+        # the flush zeroes only |v| < tiny, and NaN fails that comparison;
+        # the finite values beside NaN and inf keep their bits, 3e38 included
+        x, zeroed = self._with_subnormals((1, 1, 6, 6), 45)
+        x[0, 0, 2:5, 3] = zeroed[0, 0, 2:5, 3] = [np.nan, np.inf, -np.inf]
+        x[0, 0, 5, 5] = zeroed[0, 0, 5, 5] = 3e38
+        y = ag.conv2d(Tensor(x), Tensor(np.ones((1, 1, 1, 1), np.float32)), padding=1).data
+        assert y.dtype == np.float32
+        assert np.array_equal(y[0, 0, 1:-1, 1:-1], zeroed[0, 0], equal_nan=True)
+
+    def test_folds_wider_than_a_block_hold_each_sample(self):
+        # sample 0 is the larger: a flush block that ran past its channel
+        # would read sample 0's next channel into sample 1's max
+        x, _ = self._with_subnormals((2, 3, 256, 256), 48)
+        x[1] *= np.float32(1e-3)
+        zeroed = np.where(np.abs(x) < np.finfo(np.float32).tiny, np.float32(0), x)
+        geom = ag._geometry(256, 256, 3, 3, 2, 1)
+        for xb, zb, (xf, amax) in zip(x, zeroed, ag._folds(x, geom, 2, 1)):
+            xp = np.pad(zb, ((0, 0), (1, 1), (1, 1)))
+            want = xp.reshape(3, 129, 2, 129, 2).transpose(0, 2, 4, 1, 3).reshape(12, 129 * 129)
+            assert xf.tobytes() == want.tobytes()
+            assert amax == np.abs(xb).max()
+
+    def test_fold_wider_than_a_block_matches_zeroed_input_bit_for_bit(self):
+        x, zeroed = self._with_subnormals((1, 3, 256, 256), 46)
+        rng = np.random.default_rng(47)
+        w = rng.standard_normal((2, 3, 3, 3)).astype(np.float32)
+        r = Tensor(rng.standard_normal((1, 2, 128, 128)).astype(np.float32))
+        results = []
+        for xs in (x, zeroed):
+            xt, wt = Tensor(xs, requires_grad=True), Tensor(w, requires_grad=True)
+            with Tape() as tape:
+                y = ag.conv2d(xt, wt, stride=2, padding=1)
+                tape.backward(ag.sum_(ag.mul(y, r)))
+            results.append((y.data, wt.grad, xt.grad))
+        for name, got, want in zip(("y", "dw", "dx"), *results):
+            assert got.dtype == np.float32, name
+            assert got.tobytes() == want.tobytes(), name
 
     @pytest.mark.parametrize("k,padding", [(1, 0), (3, 1)])
     def test_caller_input_never_written(self, k, padding):

@@ -186,6 +186,23 @@ class TestTrain:
                        ds.assets.J, cfg.loss_weights)
         assert len(tape) == 72
 
+    def test_paper_config_forward_retains_under_40_mib(self, small_dataset):
+        # convs keep their inputs by reference and their batch's fold max,
+        # not copies of their folds
+        import tracemalloc
+
+        ds = dataio.Dataset(small_dataset)
+        x = Tensor(ds.batch(np.arange(4))["input"])
+        model = build_model(ExperimentConfig())
+        tracemalloc.start()
+        try:
+            with Tape():
+                model(x)
+                retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 40 * 2**20
+
     def test_dataset_loss_reads_at_most_the_loss_batch(self, small_dataset, monkeypatch):
         # per-sample forwards do not depend on the batch, so only the
         # chunk-mean summation moves with LOSS_BATCH
@@ -264,6 +281,12 @@ class TestEvaluate:
         model = build_model(tiny_config(small_dataset, tmp_path))
         with pytest.raises(ValueError):
             evaluate(model, ds, indices=[])
+
+    @pytest.mark.parametrize("batch_size", [0, -2])
+    def test_nonpositive_batch_size_rejected(self, small_dataset, batch_size):
+        ds = dataio.Dataset(small_dataset)
+        with pytest.raises(ValueError, match="batch_size"):
+            evaluate(OracleModel(ds, range(len(ds))), ds, batch_size=batch_size)
 
 
 IDENTITY_GRID = {"decoder": [{"m": ["identity"] * 3}]}
@@ -452,6 +475,18 @@ class TestAblate:
         csv_path = tmp_path / "abl" / "ablation.csv"
         with pytest.raises(ValueError, match="distinct"):
             run_ablation(base, IDENTITY_GRID, str(csv_path), seeds=(0, 0, 0))
+        assert not (tmp_path / "abl").exists()
+
+    @pytest.mark.parametrize("eval_count", [0, -1, 1.0, True])
+    def test_bad_eval_count_rejected_before_any_work(self, small_dataset, tmp_path, monkeypatch, eval_count):
+        def no_train(cfg):
+            raise AssertionError("trained before refusing the eval count")
+
+        monkeypatch.setattr(ablate_module, "train", no_train)
+        base = tiny_config(small_dataset, tmp_path / "unused", total_steps=1, batch_size=1)
+        csv_path = tmp_path / "abl" / "ablation.csv"
+        with pytest.raises(ValueError, match="eval_count"):
+            run_ablation(base, IDENTITY_GRID, str(csv_path), eval_count=eval_count)
         assert not (tmp_path / "abl").exists()
 
     def test_row_metrics_equal_run_reports(self, small_dataset, tmp_path):

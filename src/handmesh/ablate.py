@@ -87,8 +87,13 @@ def run_ablation(base_cfg, grid, out_csv, seeds=(0, 1, 2), eval_count=500, log=p
     new_file = not (os.path.exists(out_csv) and os.path.getsize(out_csv) > 0)
     held = {}  # cell id -> config keys of its rows already in out_csv
     if not new_file:
-        for row in read_rows(out_csv):
-            held.setdefault(row["cell"], set()).add(_config_key(json.loads(row["config"])))
+        with open(out_csv, newline="") as fh:
+            reader = csv.DictReader(fh)
+            if tuple(reader.fieldnames) != CSV_COLUMNS:
+                raise ValueError(f"{out_csv} has columns {reader.fieldnames}, not {list(CSV_COLUMNS)}; "
+                                 "rows appended to it would land under the wrong names")
+            for row in reader:
+                held.setdefault(row["cell"], set()).add(_config_key(json.loads(row["config"])))
     for cid, cell_cfg in cells:
         if held.get(cid, set()) - {_config_key(asdict(cell_cfg))}:
             raise ValueError(f"cell {cid}: {out_csv} holds rows of another config for it, "

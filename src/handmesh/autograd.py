@@ -18,7 +18,7 @@ fold. Three helpers (forward, input gradient, weight gradient) serve
 conv2d and, as its adjoint, conv_transpose2d. No fold outlives the pass
 that draws it: the tape keeps a conv's input, as it keeps matmul's, plus
 the batch's largest fold magnitude, and backward folds the input again.
-Padded folds read float32 subnormals as zero, and each GEMM scales one
+Every fold reads float32 subnormals as zero, and each GEMM scales one
 operand by an exact power of two so that products of tiny normal values
 stay normal (see _pow2).
 """
@@ -459,13 +459,13 @@ def _folds(x, geom, stride, padding):
     next is drawn; a caller that needs the folds again draws them again.
     The copy runs one block of channels at a time, and each block's
     magnitudes are reduced to the max while it is still in cache, through
-    scratch of at most _FOLD_BLOCK elements. With padding > 0 the copy reads
-    float32 subnormals as zero (denormals-are-zero): values with |v| below
-    the dtype's smallest normal are zeroed, so NaN and inf are kept. About
+    scratch of at most _FOLD_BLOCK elements. The copy reads float32
+    subnormals as zero (denormals-are-zero): values with |v| below the
+    dtype's smallest normal are zeroed, so NaN and inf are kept. About
     14% of the nonzero values of rendered inputs are float32 subnormals,
     every op that touches one takes a slow microcode assist, and numpy cannot
     set the CPU's DAZ flag. The caller's array is never written, and float64
-    (tiny 2.2e-308) keeps its range.
+    (tiny 2.2e-308) keeps its range. geom places the padding; `padding` is unread.
     """
     c = x.shape[1]
     hq, wq, phases = geom[2], geom[3], geom[6]
@@ -488,9 +488,8 @@ def _folds(x, geom, stride, padding):
                 v = flat[lo : min(lo + span, end)]
                 m = mag[: v.size]
                 np.abs(v, out=m)
-                if padding:
-                    np.less(m, tiny, out=small[: v.size])
-                    np.copyto(v, 0, where=small[: v.size])
+                np.less(m, tiny, out=small[: v.size])
+                np.copyto(v, 0, where=small[: v.size])
                 amax = np.maximum(amax, m.max())
         yield buf.reshape(c * stride * stride, hq * wq), amax
 

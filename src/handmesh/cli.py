@@ -67,8 +67,7 @@ def _load_config(path, **overrides):
 
 
 def _cmd_gen_data(args):
-    dataio.generate_dataset(args.out, args.count, args.seed)
-    manifest = dataio.read_manifest(args.out)
+    manifest = dataio.generate_dataset(args.out, args.count, args.seed)
     print(json.dumps({"out": args.out, "count": manifest["count"], "seed": manifest["seed"]}))
 
 

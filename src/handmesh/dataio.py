@@ -80,17 +80,25 @@ def sample_seed(dataset_seed, index):
     return int(np.random.SeedSequence(entropy=int(dataset_seed), spawn_key=(int(index),)).generate_state(1)[0])
 
 
+def _check_count_seed(where, count, seed):
+    """Refuse a dataset count or seed that read_manifest would refuse."""
+    for key, value, least in (("count", count, 1), ("seed", seed, 0)):
+        # JSON integers load as int; the exact type check also refuses bool
+        if type(value) is not int or value < least:
+            raise ValueError(f"{where}: {key} must be an integer >= {least}, got {value!r}")
+
+
 def generate_dataset(out_dir, count, seed):
     """Write the dataset's only file, its manifest; byte-identical per (count, seed).
 
-    Samples are rendered when read.
+    Samples are rendered when read. A count or seed read_manifest would
+    refuse raises before anything is written.
     """
-    if count < 1:
-        raise ValueError(f"dataset count must be >= 1, got {count}")
+    _check_count_seed(out_dir, count, seed)
     os.makedirs(out_dir, exist_ok=True)
     manifest = {
-        "count": int(count),
-        "seed": int(seed),
+        "count": count,
+        "seed": seed,
         "format_version": FORMAT_VERSION,
         "units": "mm",
         "image_size": 224,
@@ -107,11 +115,7 @@ def read_manifest(dataset_dir):
     path = os.path.join(dataset_dir, "manifest.json")
     with open(path) as f:
         manifest = json.load(f)
-    for key, least in (("count", 1), ("seed", 0)):
-        value = manifest.get(key)
-        # JSON integers load as int; the exact type check also refuses bool
-        if type(value) is not int or value < least:
-            raise ValueError(f"{path}: {key} must be an integer >= {least}, got {value!r}")
+    _check_count_seed(path, manifest.get("count"), manifest.get("seed"))
     return manifest
 
 

@@ -50,8 +50,6 @@ def procrustes_align(P, G):
     A = P0.T @ G0
     U, sigma, Vt = np.linalg.svd(A)
     d = np.sign(np.linalg.det(Vt.T @ U.T))
-    if d == 0:
-        d = 1.0
     D = np.diag([1.0, 1.0, d])
     R = Vt.T @ D @ U.T
     s = (sigma * np.diag(D)).sum() / var_p

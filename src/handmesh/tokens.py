@@ -14,6 +14,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .nn import Conv2d, ConvTranspose2d, Module
+from .synth import IMAGE_SIZE, NUM_JOINTS
 
 VARIANTS = ("global", "grid", "keypoint", "coarse_mesh")
 # the transposed-conv strides of each upsampling scheme, applied to the 7x7 map
@@ -21,7 +22,7 @@ _SCHEME_STRIDES = {"none": (), "single-2x": (2,), "single-4x": (4,), "double-2x"
                    "4x-with-extra-convs": (2, 2)}
 SCHEMES = tuple(_SCHEME_STRIDES)
 
-NUM_KEYPOINTS = 21
+NUM_KEYPOINTS = NUM_JOINTS
 COARSE_TOKENS = 98  # every-8th vertex of the 778-vertex template
 # stage 0 is at least as wide as the input so every channel keeps a
 # pass-through slot under the smoothing init below
@@ -146,31 +147,28 @@ class FeatureUpsampler(Module):
         return x
 
 
-def feature_coords_from_image(coords_img, stride):
-    return ag.add(ag.mul(ag.add(coords_img, 0.5), 1.0 / float(stride)), -0.5)
-
-
-def soft_argmax_2d(logits, image_size=224):
+def soft_argmax_2d(logits):
     """Spatial softmax + expectation: logits (B,K,H,W) -> (B,K,2) coordinates.
 
     Coordinates are one expectation over the cell centers in full-image
-    pixels, (x + 0.5) * stride - 0.5 per axis, so they always land strictly
-    inside the image.
+    pixels, (x + 0.5) * stride - 0.5 per axis with stride IMAGE_SIZE / W,
+    so they always land strictly inside the image.
     """
     b, k, h, w = logits.shape
     p = ag.softmax(ag.reshape(logits, (b, k, h * w)), axis=-1)
     ys, xs = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
     cells = np.stack([xs.reshape(-1), ys.reshape(-1)], axis=-1)
-    centers = Tensor(((cells + 0.5) * (image_size / w) - 0.5).astype(logits.dtype))
+    centers = Tensor(((cells + 0.5) * (IMAGE_SIZE / w) - 0.5).astype(logits.dtype))
     return ag.matmul(p, centers)
 
 
-def sample_tokens(feat, cfg, coords=None, image_size=224):
+def sample_tokens(feat, cfg, coords=None):
     """Pool, enumerate, or point-sample the feature map into (B, N, C) tokens.
 
     feat: (B, C, Hf, Wf); coords (B, N, 2) in full-image pixels, the one
     point set the keypoint and coarse_mesh variants sample at (the caller
-    picks it).
+    picks it). Each map cell spans IMAGE_SIZE / Wf image pixels; the
+    resolution check admits only the feature map of an IMAGE_SIZE input.
     """
     b, c, h, w = feat.shape
     if h != cfg.target_resolution or w != cfg.target_resolution:
@@ -182,7 +180,7 @@ def sample_tokens(feat, cfg, coords=None, image_size=224):
     else:
         if coords is None:
             raise ValueError(f"{cfg.variant} sampling needs predicted coordinates")
-        tokens = ag.bilinear_sample(feat, feature_coords_from_image(coords, image_size / w))
+        tokens = ag.bilinear_sample(feat, ag.add(ag.mul(ag.add(coords, 0.5), 1.0 / (IMAGE_SIZE / w)), -0.5))
     if not np.isfinite(tokens.data).all():
         raise FloatingPointError("non-finite token values")
     return tokens
@@ -209,11 +207,10 @@ class TokenGenerator(Module):
             self.coarse_head.weight.data[:] = 0.0
 
     def __call__(self, image):
-        image_size = image.shape[-1]
         feat = self.upsampler(self.backbone(image))
-        kp_coords = soft_argmax_2d(self.kp_head(feat), image_size)
+        kp_coords = soft_argmax_2d(self.kp_head(feat))
         coords = kp_coords
         if self.cfg.variant == "coarse_mesh":
-            coords = soft_argmax_2d(self.coarse_head(feat), image_size)
-        tokens = sample_tokens(feat, self.cfg, coords, image_size=image_size)
+            coords = soft_argmax_2d(self.coarse_head(feat))
+        tokens = sample_tokens(feat, self.cfg, coords)
         return tokens, kp_coords

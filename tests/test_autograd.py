@@ -577,7 +577,7 @@ class TestConvPowerOfTwoScaling:
 
 
 class TestConvReadsSubnormalsAsZero:
-    """Padded convs read float32 subnormals as zero; nothing else moves."""
+    """Convs, padded or not, read float32 subnormals as zero; nothing else moves."""
 
     @staticmethod
     def _with_subnormals(shape, seed):
@@ -614,6 +614,16 @@ class TestConvReadsSubnormalsAsZero:
         assert y.tobytes() == y0.tobytes()
         assert dw.tobytes() == dw0.tobytes()
         assert db.tobytes() == db0.tobytes()
+
+    def test_unpadded_1x1_conv_matches_zeroed_input_bit_for_bit(self):
+        # the fold rule of the keypoint and coarse heads
+        x, zeroed = self._with_subnormals((2, 3, 6, 6), 49)
+        w = np.random.default_rng(50).standard_normal((4, 3, 1, 1)).astype(np.float32)
+        b = np.zeros(4, np.float32)
+        _, y, dw, _ = self._fwd_bwd(x, w, b, padding=0)
+        _, y0, dw0, _ = self._fwd_bwd(zeroed, w, b, padding=0)
+        assert y.tobytes() == y0.tobytes()
+        assert dw.tobytes() == dw0.tobytes()
 
     def test_nan_and_inf_are_kept(self):
         # the flush zeroes only |v| < tiny, and NaN fails that comparison;

@@ -137,6 +137,13 @@ class TestDatasetDirectory:
         with pytest.raises(ValueError):
             dataio.generate_dataset(tmp_path / "d", 0, seed=1)
 
+    @pytest.mark.parametrize("count, seed", [(3, -1), (2.7, 0)])
+    def test_unreadable_manifest_never_written(self, tmp_path, count, seed):
+        # the values read_manifest refuses are refused before the write
+        with pytest.raises(ValueError, match="must be an integer"):
+            dataio.generate_dataset(tmp_path / "d", count, seed)
+        assert not (tmp_path / "d" / "manifest.json").exists()
+
     def test_index_out_of_range_rejected(self, tmp_path):
         dataio.generate_dataset(tmp_path / "d", 2, seed=1)
         ds = dataio.Dataset(tmp_path / "d")

@@ -103,6 +103,12 @@ class TestGenDataCli:
     def test_manifest_count(self, small_dataset):
         assert dataio.read_manifest(small_dataset)["count"] == 6
 
+    def test_negative_seed_fails_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert main(["gen-data", "--out", str(out), "--count", "2", "--seed", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("error: ValueError:")
+        assert not (out / "manifest.json").exists()
+
     def test_unwritable_target_fails_with_one_line_error(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("a plain file, not a directory")
@@ -488,6 +494,24 @@ class TestAblate:
         with pytest.raises(ValueError, match="eval_count"):
             run_ablation(base, IDENTITY_GRID, str(csv_path), eval_count=eval_count)
         assert not (tmp_path / "abl").exists()
+
+    def test_csv_of_other_columns_refused_before_any_work(self, small_dataset, tmp_path, monkeypatch):
+        # the same names in another order: appended rows would put PA-MPJPE
+        # under mpjpe_mm
+        def no_train(cfg):
+            raise AssertionError("trained before refusing the CSV")
+
+        monkeypatch.setattr(ablate_module, "train", no_train)
+        base = tiny_config(small_dataset, tmp_path / "unused", total_steps=1, batch_size=1)
+        columns = list(ablate_module.CSV_COLUMNS)
+        columns[2], columns[4] = columns[4], columns[2]
+        csv_path = tmp_path / "abl" / "ablation.csv"
+        csv_path.parent.mkdir()
+        csv_path.write_text(",".join(columns) + "\n")
+        with pytest.raises(ValueError, match="columns"):
+            run_ablation(base, IDENTITY_GRID, str(csv_path), eval_count=1)
+        assert not (tmp_path / "abl" / "heldout").exists()
+        assert csv_path.read_text() == ",".join(columns) + "\n"
 
     def test_row_metrics_equal_run_reports(self, small_dataset, tmp_path):
         base = tiny_config(small_dataset, tmp_path / "unused", total_steps=1, batch_size=1)

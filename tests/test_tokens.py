@@ -7,6 +7,7 @@ import pytest
 
 from handmesh import autograd as ag
 from handmesh.autograd import Tape, Tensor
+from handmesh.model import HandMeshModel
 from handmesh.rng import substream
 from handmesh.tokens import (
     COARSE_TOKENS,
@@ -16,7 +17,6 @@ from handmesh.tokens import (
     TokenGenerator,
     ToyBackbone,
     expected_tokens,
-    feature_coords_from_image,
     sample_tokens,
     soft_argmax_2d,
 )
@@ -319,6 +319,13 @@ class TestTokenGenerator:
         assert tokens.shape == (1, expected_tokens(cfg), 64)
         assert kp_coords.shape == (1, NUM_KEYPOINTS, 2)
         assert np.isfinite(tokens.data).all()
+
+    def test_paper_model_refuses_a_448_input(self):
+        # coordinates are in 224-pixel image units: a larger input's feature
+        # map fails the sampler's resolution check
+        model = HandMeshModel()
+        with pytest.raises(ValueError, match="does not match configured resolution 28"):
+            model(Tensor(np.zeros((1, 22, 448, 448), np.float32)))
 
     def test_forward_is_deterministic(self):
         cfg = SamplerConfig("keypoint", 28, "double-2x")

@@ -19,8 +19,7 @@ from .train import load_trained_model, train
 
 GRID_AXES = ("sampler", "decoder")  # the paper's two halves
 
-CSV_COLUMNS = ("cell", "seed", "pa_mpjpe_mm", "pa_mpvpe_mm", "mpjpe_mm", "mpvpe_mm",
-               "f_at_05", "f_at_15", "params_non_backbone", "steps_per_sec", "steps", "config")
+CSV_COLUMNS = ("cell", "seed", *METRIC_COLUMNS, "params_non_backbone", "steps_per_sec", "steps", "config")
 
 
 def expand_grid(grid):
@@ -75,6 +74,8 @@ def run_ablation(base_cfg, grid, out_csv, seeds=(0, 1, 2), eval_count=500, log=p
     """
     if len(set(seeds)) < 3:
         raise ValueError(f"need at least 3 distinct shared seeds, got {tuple(seeds)}")
+    for seed in seeds:
+        replace(base_cfg, seed=seed)  # the config's own seed rule, before any work
     if type(eval_count) is not int or eval_count < 1:  # the exact check also refuses bool
         raise ValueError(f"eval_count must be an integer >= 1, got {eval_count!r}")
     cells = []
@@ -120,7 +121,7 @@ def run_ablation(base_cfg, grid, out_csv, seeds=(0, 1, 2), eval_count=500, log=p
                 report, _ = evaluate(model, dataset, out_dir=run_dir, indices=eval_indices)
                 params_nb = model.param_count_split()[1]
                 steps_per_sec = cfg.total_steps / train_secs if train_secs > 0 else float("inf")
-                writer.writerow([cid, seed, *(repr(report[m]) for m in CSV_COLUMNS[2:8]),
+                writer.writerow([cid, seed, *(repr(report[m]) for m in METRIC_COLUMNS),
                                  params_nb, f"{steps_per_sec:.4f}", cfg.total_steps,
                                  json.dumps(asdict(cfg), sort_keys=True)])
                 fh.flush()

@@ -450,7 +450,7 @@ def _pad_cols(gb, wq, scale):
     return gq.reshape(cout, ho * wq)
 
 
-def _folds(x, geom, stride, padding):
+def _folds(x, geom, stride):
     """Yield each sample of x (B, C, H, W) folded to (C*s*s, hq*wq), with its max |v|.
 
     Fold channel (c, i, j) at (r, t) holds padded pixel (c, r*s + i, t*s + j).
@@ -465,7 +465,7 @@ def _folds(x, geom, stride, padding):
     14% of the nonzero values of rendered inputs are float32 subnormals,
     every op that touches one takes a slow microcode assist, and numpy cannot
     set the CPU's DAZ flag. The caller's array is never written, and float64
-    (tiny 2.2e-308) keeps its range. geom places the padding; `padding` is unread.
+    (tiny 2.2e-308) keeps its range. geom places the padding.
     """
     c = x.shape[1]
     hq, wq, phases = geom[2], geom[3], geom[6]
@@ -586,7 +586,7 @@ def conv2d(x, w, b=None, stride=1, padding=0, relu=False):
         raise ValueError(f"conv2d: stride must be >= 1, got {stride}")
     geom = _geometry(*x.shape[2:], *w.shape[2:], stride, padding)
     wt = _fold_weight(w.data, stride).astype(np.result_type(x.data, w.data), copy=False)
-    y, amax = _conv_fwd(_folds(x.data, geom, stride, padding), wt, geom, x.shape[0])
+    y, amax = _conv_fwd(_folds(x.data, geom, stride), wt, geom, x.shape[0])
     if b is not None:
         y += b.data[:, None, None]
     if relu:
@@ -598,7 +598,7 @@ def conv2d(x, w, b=None, stride=1, padding=0, relu=False):
         if b is not None:
             _accum(b, g.sum(axis=(0, 2, 3)))
         if w.requires_grad:
-            _accum(w, _conv_dw(_folds(x.data, geom, stride, padding), amax, g, geom, w.shape, stride))
+            _accum(w, _conv_dw(_folds(x.data, geom, stride), amax, g, geom, w.shape, stride))
         if x.requires_grad:
             _accum(x, _conv_dx(g, wt, geom, x.shape, stride))
 
@@ -639,10 +639,10 @@ def conv_transpose2d(x, w, b=None, stride=2, padding=1):
     def backward_fn(g):
         if b is not None:
             _accum(b, g.sum(axis=(0, 2, 3)))
-        gx, amax = _conv_fwd(_folds(g, geom, stride, padding), wt, geom, bsz)
+        gx, amax = _conv_fwd(_folds(g, geom, stride), wt, geom, bsz)
         _accum(x, gx)
         if w.requires_grad:
-            _accum(w, _conv_dw(_folds(g, geom, stride, padding), amax, x.data, geom, w.shape, stride))
+            _accum(w, _conv_dw(_folds(g, geom, stride), amax, x.data, geom, w.shape, stride))
 
     return _node(y, backward_fn, x, w, b)
 

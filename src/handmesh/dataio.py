@@ -1,78 +1,22 @@
-"""Datasets as manifests rendered on read, and the tensor records of checkpoints.
+"""Datasets as manifests rendered on read, and checkpoints as .npz archives.
 
 A dataset directory holds only `manifest.json`: sample i is a pure function
 of `sample_seed(manifest seed, i)`, rendered whenever it is read and cast to
-32-bit floats. A record file is one JSON header line followed by raw
-little-endian tensor bytes; the header maps each tensor name to (offset,
-shape, dtype) within the payload. Each tensor keeps its own dtype, so a
-checkpoint save/load round trip is bit-exact.
+32-bit floats. A checkpoint is a standard uncompressed .npz archive, one
+`<name>.npy` member per tensor in its own dtype, so np.load opens it and a
+save/load round trip is bit-exact.
 """
 
+import io
 import json
 import os
+import zipfile
 
 import numpy as np
 
 from .synth import IMAGE_SIZE, NUM_JOINTS, HandSample, build_assets, generate_sample
 
-FORMAT_VERSION = 1
-
-
-def write_record(path, tensors, meta=None):
-    """Serialize named arrays, each in its own dtype stored little-endian."""
-    header = {"format_version": FORMAT_VERSION, "tensors": {}}
-    if meta:
-        header["meta"] = meta
-    blobs = []
-    offset = 0
-    for name, arr in tensors.items():
-        arr = np.ascontiguousarray(arr)
-        dt = arr.dtype.newbyteorder("<")
-        arr = arr.astype(dt, copy=False)
-        header["tensors"][name] = {"offset": offset, "shape": list(arr.shape), "dtype": dt.str}
-        blob = arr.tobytes()
-        blobs.append(blob)
-        offset += len(blob)
-    # write beside the target, then rename over it: a crash mid-write
-    # leaves the previous file intact
-    tmp = f"{os.fspath(path)}.tmp"
-    try:
-        with open(tmp, "wb") as f:
-            f.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-            f.write(b"\n")
-            for blob in blobs:
-                f.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
-
-
-def read_record(path):
-    """Returns (tensors dict, meta dict)."""
-    with open(path, "rb") as f:
-        header_line = f.readline()
-        payload = f.read()
-    header = json.loads(header_line.decode("utf-8"))
-    if header.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported record format version in {path}")
-    entries = {}
-    need = 0
-    for name, entry in header["tensors"].items():
-        dt = np.dtype(entry["dtype"])
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        entries[name] = (dt, shape, count, entry["offset"])
-        need = max(need, entry["offset"] + count * dt.itemsize)
-    if len(payload) < need:
-        raise ValueError(
-            f"truncated record {path}: payload is {len(payload)} bytes, header needs {need}"
-        )
-    out = {}
-    for name, (dt, shape, count, start) in entries.items():
-        out[name] = np.frombuffer(payload, dtype=dt, count=count, offset=start).reshape(shape).copy()
-    return out, header.get("meta", {})
+FORMAT_VERSION = 1  # of the manifest
 
 
 def sample_seed(dataset_seed, index):
@@ -101,8 +45,8 @@ def generate_dataset(out_dir, count, seed):
         "seed": seed,
         "format_version": FORMAT_VERSION,
         "units": "mm",
-        "image_size": 224,
-        "channels": {"heatmaps": 21, "silhouette": 1},
+        "image_size": IMAGE_SIZE,
+        "channels": {"heatmaps": NUM_JOINTS, "silhouette": 1},
         "f_score_distances": "nearest_neighbor",
     }
     with open(os.path.join(out_dir, "manifest.json"), "w") as f:
@@ -153,5 +97,35 @@ class Dataset:
 
 
 def save_checkpoint(path, state, meta=None):
-    """state: name -> ndarray; dtypes are preserved bit-exactly."""
-    write_record(path, state, meta=meta)
+    """Write named arrays as one uncompressed .npz archive (np.load opens it):
+    a `<name>.npy` member per array in its own dtype, and `meta`, if given, as
+    JSON in the member `__meta__`. Members carry zipfile's fixed 1980-01-01
+    stamp, not np.savez's wall clock, so a state always writes the same bytes."""
+    # write beside the target and rename over it: a crash keeps the old file
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as f, zipfile.ZipFile(f, "w") as zf:
+            for name, arr in state.items():
+                with zf.open(zipfile.ZipInfo(f"{name}.npy"), "w", force_zip64=True) as member:
+                    np.lib.format.write_array(member, arr, allow_pickle=False)
+            if meta is not None:
+                zf.writestr(zipfile.ZipInfo("__meta__"), json.dumps(meta, sort_keys=True))
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def read_checkpoint(path):
+    """(arrays, meta) of a save_checkpoint archive. Each member is read whole,
+    so its CRC-32 covers every byte (np.load on the archive stops where a
+    member's .npy header says); a file that is not a zip archive, or a member
+    that fails its CRC-32, raises ValueError naming the path."""
+    try:
+        with zipfile.ZipFile(path) as zf:
+            members = {name: zf.read(name) for name in zf.namelist()}
+    except zipfile.BadZipFile as err:
+        raise ValueError(f"{path} is not an intact checkpoint archive: {err}") from err
+    meta = json.loads(members.pop("__meta__", "{}"))
+    return {name.removesuffix(".npy"): np.load(io.BytesIO(data)) for name, data in members.items()}, meta

@@ -116,6 +116,6 @@ def load_trained_model(run_dir):
 
     cfg = ExperimentConfig.load(os.path.join(run_dir, "config.json"))
     model = build_model(cfg)
-    state, _ = dataio.read_record(os.path.join(run_dir, "checkpoint.bin"))
+    state, _ = dataio.read_checkpoint(os.path.join(run_dir, "checkpoint.bin"))
     model.load_state_dict(state)
     return model, cfg

@@ -1,7 +1,8 @@
-"""Record container round trips and datasets rendered from their manifest."""
+"""Checkpoint archive round trips and datasets rendered from their manifest."""
 
 import json
 import os
+import zipfile
 
 import numpy as np
 import pytest
@@ -23,41 +24,91 @@ class TestRecordContainer:
             "c": np.arange(5, dtype=np.float32),
         }
         path = tmp_path / "rec.bin"
-        dataio.write_record(path, tensors, meta={"k": 1})
-        loaded, meta = dataio.read_record(path)
+        dataio.save_checkpoint(path, tensors, meta={"k": 1})
+        loaded, meta = dataio.read_checkpoint(path)
         assert meta == {"k": 1}
         for name, arr in tensors.items():
             assert loaded[name].dtype == arr.dtype
             assert np.array_equal(loaded[name], arr)
             assert loaded[name].tobytes() == arr.tobytes()
 
+    def test_archive_is_standard_and_timeless(self, tmp_path):
+        # np.load reads it without the module, and every member carries
+        # zipfile's fixed stamp rather than the time of the write
+        tensors = {"w": np.arange(12, dtype=np.float32).reshape(3, 4), "v": np.linspace(0, 1, 7)}
+        path = tmp_path / "rec.bin"
+        dataio.save_checkpoint(path, tensors, meta={"step": 2})
+        with zipfile.ZipFile(path) as zf:
+            infos = zf.infolist()
+        assert [i.filename for i in infos] == ["w.npy", "v.npy", "__meta__"]
+        assert all(i.date_time == (1980, 1, 1, 0, 0, 0) for i in infos)
+        assert all(i.compress_type == zipfile.ZIP_STORED for i in infos)
+        with np.load(path) as npz:
+            for name, arr in tensors.items():
+                assert npz[name].dtype == arr.dtype
+                assert npz[name].tobytes() == arr.tobytes()
+
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "rec.bin"
         with open(path, "wb") as f:
             f.write(b'{"format_version": 999, "tensors": {}}\n')
         with pytest.raises(ValueError):
-            dataio.read_record(path)
+            dataio.read_checkpoint(path)
 
-    def test_truncated_payload_names_path_and_sizes(self, tmp_path):
+    def test_header_and_raw_bytes_file_names_path(self, tmp_path):
+        # a JSON header line, then raw little-endian bytes: not an archive
+        path = tmp_path / "checkpoint.bin"
+        a = np.arange(6, dtype=np.float32)
+        header = {"format_version": 1, "tensors": {"a": {"offset": 0, "shape": [6], "dtype": "<f4"}}}
+        path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + a.tobytes())
+        with pytest.raises(ValueError, match="not a zip file") as err:
+            dataio.read_checkpoint(path)
+        assert str(path) in str(err.value)
+
+    def test_truncated_archive_names_path(self, tmp_path):
         path = tmp_path / "rec.bin"
-        dataio.write_record(path, {"a": np.arange(6, dtype=np.float32), "b": np.ones(3)})
+        dataio.save_checkpoint(path, {"a": np.arange(6, dtype=np.float32), "b": np.ones(3)})
         data = path.read_bytes()
-        path.write_bytes(data[:-1])
-        payload = len(data) - len(data.split(b"\n", 1)[0]) - 1
-        with pytest.raises(ValueError) as err:
-            dataio.read_record(path)
-        msg = str(err.value)
-        assert str(path) in msg
-        assert f"{payload - 1} bytes" in msg and f"needs {payload}" in msg
+        for cut in (len(data) - 1, len(data) // 2):
+            path.write_bytes(data[:cut])
+            with pytest.raises(ValueError) as err:
+                dataio.read_checkpoint(path)
+            assert str(path) in str(err.value)
+
+    def test_flipped_payload_byte_names_path(self, tmp_path):
+        path = tmp_path / "rec.bin"
+        a = np.arange(1, 7, dtype=np.float32)
+        dataio.save_checkpoint(path, {"a": a, "b": np.ones(3)})
+        data = bytearray(path.read_bytes())
+        at = data.index(a.tobytes())
+        data[at + 9] ^= 0x01  # a low mantissa bit of a[2]: the array still parses
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="CRC") as err:
+            dataio.read_checkpoint(path)
+        assert str(path) in str(err.value)
+
+    def test_shortened_member_header_names_path(self, tmp_path):
+        # a member larger than zipfile's read-ahead: an array read only as far
+        # as its edited .npy header says would stop short of the CRC-32 check
+        path = tmp_path / "rec.bin"
+        dataio.save_checkpoint(path, {"w": np.ones((400, 1000), np.float32)})
+        data = path.read_bytes()
+        path.write_bytes(data.replace(b"(400, 1000)", b"(300, 1000)", 1))
+        with pytest.raises(ValueError, match="CRC") as err:
+            dataio.read_checkpoint(path)
+        assert str(path) in str(err.value)
 
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "rec.bin"
-        dataio.write_record(path, {"a": np.arange(4, dtype=np.float32)}, meta={"v": 1})
+        dataio.save_checkpoint(path, {"a": np.arange(4, dtype=np.float32)}, meta={"v": 1})
         before = path.read_bytes()
 
         class FailingFile:
             def __init__(self, f):
                 self.f, self.writes = f, 0
+
+            def __getattr__(self, name):  # tell, seek, flush: zipfile's other calls
+                return getattr(self.f, name)
 
             def __enter__(self):
                 return self
@@ -69,11 +120,11 @@ class TestRecordContainer:
                 self.writes += 1
                 if self.writes == 3:
                     raise OSError("disk full")
-                self.f.write(data)
+                return self.f.write(data)
 
         monkeypatch.setattr(dataio, "open", lambda p, mode: FailingFile(open(p, mode)), raising=False)
         with pytest.raises(OSError, match="disk full"):
-            dataio.write_record(path, {"a": np.zeros(8, dtype=np.float32), "b": np.ones(2)}, meta={"v": 2})
+            dataio.save_checkpoint(path, {"a": np.zeros(8, dtype=np.float32), "b": np.ones(2)}, meta={"v": 2})
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["rec.bin"]
 
@@ -182,7 +233,7 @@ class TestCheckpoint:
         }
         path = tmp_path / "ckpt.bin"
         dataio.save_checkpoint(path, state, meta={"step": 12})
-        loaded, meta = dataio.read_record(path)
+        loaded, meta = dataio.read_checkpoint(path)
         assert meta["step"] == 12
         for k, v in state.items():
             assert loaded[k].dtype == v.dtype

@@ -148,9 +148,11 @@ class TestTrain:
     def test_zero_steps_checkpoint_equals_initialization(self, small_dataset, tmp_path):
         cfg = tiny_config(small_dataset, tmp_path / "run", total_steps=0)
         art = train(cfg)
-        state, _ = dataio.read_record(art.checkpoint)
+        state, _ = dataio.read_checkpoint(art.checkpoint)
         fresh = build_model(cfg).state_dict()
         assert sorted(state) == sorted(fresh)
+        with np.load(art.checkpoint) as npz:  # a standard archive of exactly the state
+            assert sorted(npz.files) == sorted(fresh)
         for name in fresh:
             assert np.array_equal(state[name], fresh[name]), name
 
@@ -482,6 +484,24 @@ class TestAblate:
         with pytest.raises(ValueError, match="distinct"):
             run_ablation(base, IDENTITY_GRID, str(csv_path), seeds=(0, 0, 0))
         assert not (tmp_path / "abl").exists()
+
+    @pytest.mark.parametrize("seeds", [(-1, 0, 1), (0, 1, 2.0)])
+    def test_bad_seed_rejected_before_any_work(self, small_dataset, tmp_path, monkeypatch, seeds):
+        def no_train(cfg):
+            raise AssertionError("trained before refusing the seed")
+
+        monkeypatch.setattr(ablate_module, "train", no_train)
+        base = tiny_config(small_dataset, tmp_path / "unused", total_steps=1, batch_size=1)
+        csv_path = tmp_path / "abl" / "ablation.csv"
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            run_ablation(base, IDENTITY_GRID, str(csv_path), seeds=seeds, eval_count=2)
+        assert not (tmp_path / "abl" / "heldout").exists()
+        assert not csv_path.exists()
+
+    def test_metric_columns_are_one_run_of_the_csv_columns(self):
+        # a report metric added to METRIC_COLUMNS lands in the CSV, in its order
+        at = ablate_module.CSV_COLUMNS.index(METRIC_COLUMNS[0])
+        assert ablate_module.CSV_COLUMNS[at:at + len(METRIC_COLUMNS)] == METRIC_COLUMNS
 
     @pytest.mark.parametrize("eval_count", [0, -1, 1.0, True])
     def test_bad_eval_count_rejected_before_any_work(self, small_dataset, tmp_path, monkeypatch, eval_count):

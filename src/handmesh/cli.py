@@ -82,6 +82,8 @@ def _cmd_train(args):
 
 
 def _cmd_eval(args):
+    if os.path.basename(args.config) != "config.json" or not os.path.isfile(args.config):
+        raise ValueError(f"eval reads the run beside its config.json snapshot; got {args.config}")
     run_dir = os.path.dirname(os.path.abspath(args.config))
     model, cfg = load_trained_model(run_dir)
     dataset_dir = args.dataset or cfg.dataset

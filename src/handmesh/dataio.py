@@ -14,7 +14,7 @@ import zipfile
 
 import numpy as np
 
-from .synth import IMAGE_SIZE, NUM_JOINTS, HandSample, build_assets, generate_sample
+from .synth import IMAGE_SIZE, INPUT_SHAPE, NUM_JOINTS, HandSample, build_assets, generate_sample
 
 FORMAT_VERSION = 1  # of the manifest
 
@@ -65,8 +65,8 @@ def read_manifest(dataset_dir):
 
 def render_batch(assets, seed, indices):
     """Samples `indices` of the dataset with this seed, stacked as float32;
-    each input is rendered straight into its row of one (B, 22, 224, 224) array."""
-    inputs = np.empty((len(indices), NUM_JOINTS + 1, IMAGE_SIZE, IMAGE_SIZE), np.float32)
+    each input is rendered straight into its row of one (B, *INPUT_SHAPE) array."""
+    inputs = np.empty((len(indices), *INPUT_SHAPE), np.float32)
     samples = [generate_sample(assets, sample_seed(seed, i), out=row)
                for i, row in zip(indices, inputs)]
     return {"input": inputs, **{name: np.array([getattr(s, name) for s in samples], np.float32)

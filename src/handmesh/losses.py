@@ -57,10 +57,6 @@ class LossBreakdown:
     total: float
     total_node: Tensor  # graph scalar for backpropagation; .data == total
 
-    def to_dict(self):
-        return {"L_vert": self.L_vert, "L_J3d": self.L_J3d,
-                "L_J2d": self.L_J2d, "total": self.total}
-
 
 def _float64_tensor(pred):
     """A prediction as a float64 Tensor: all loss arithmetic runs in float64
@@ -74,7 +70,8 @@ def total_loss(V_pred, V_gt, J2d_pred, J2d_gt, J, weights=None):
     """Weighted sum of the three L1 terms; differentiable w.r.t. predictions.
 
     V_* in root-relative mm, J2d_* in full-image pixels. Ground-truth 3D
-    joints are recomputed here as J @ V_gt.
+    joints are recomputed here as J @ V_gt. A non-finite total raises
+    FloatingPointError naming the three terms, as the forward checks do.
     """
     w = weights or LossWeights()
     V_pred, J2d_pred = _float64_tensor(V_pred), _float64_tensor(J2d_pred)
@@ -87,6 +84,9 @@ def total_loss(V_pred, V_gt, J2d_pred, J2d_gt, J, weights=None):
         ag.add(ag.mul(l_j3d, w.w_3d), ag.mul(l_j2d, w.w_2d)),
         ag.mul(l_vert, w.w_vert),
     )
+    if not np.isfinite(total.data):
+        raise FloatingPointError(f"non-finite loss: L_vert={float(l_vert.data)}, "
+                                 f"L_J3d={float(l_j3d.data)}, L_J2d={float(l_j2d.data)}")
     return LossBreakdown(
         L_vert=float(l_vert.data),
         L_J3d=float(l_j3d.data),

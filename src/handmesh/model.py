@@ -6,9 +6,8 @@ from .autograd import Tensor
 from .nn import Module
 from .regressor import DecoderConfig, MeshRegressor
 from .rng import substream
+from .synth import INPUT_SHAPE
 from .tokens import SamplerConfig, TokenGenerator, expected_tokens
-
-INPUT_CHANNELS = 22  # 21 keypoint heatmaps + 1 silhouette
 
 
 @dataclass
@@ -22,7 +21,7 @@ class HandMeshModel(Module):
         sampler_cfg = sampler_cfg or SamplerConfig()
         decoder_cfg = decoder_cfg or DecoderConfig()
         rng = substream(seed, "model-init")
-        self.tokens = TokenGenerator(sampler_cfg, INPUT_CHANNELS, rng)
+        self.tokens = TokenGenerator(sampler_cfg, INPUT_SHAPE[0], rng)
         self.regressor = MeshRegressor(decoder_cfg, expected_tokens(sampler_cfg),
                                        self.tokens.backbone.out_channels, rng)
 

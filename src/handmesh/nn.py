@@ -15,6 +15,8 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 
+MIXERS = ("attn", "identity")  # MetaformerBlock's token mixers
+
 
 class Module:
     """Base class: recursive parameter discovery over instance attributes."""
@@ -159,7 +161,7 @@ class MetaformerBlock(Module):
         elif mixer == "identity":
             self.mixer = Identity()
         else:
-            raise ValueError(f"unknown mixer {mixer!r}, expected 'attn' or 'identity'")
+            raise ValueError(f"unknown mixer {mixer!r}, expected one of {MIXERS}")
         self.norm1 = LayerNorm(c)
         self.norm2 = LayerNorm(c)
         self.mlp = Mlp(c, rng)

@@ -12,16 +12,14 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .nn import Affine, MetaformerBlock, Module, _uniform_init
-
-NUM_VERTICES = 778
-MIXERS = ("attn", "identity")
+from .nn import MIXERS, Affine, MetaformerBlock, Module, _uniform_init
+from .synth import NUM_VERTICES
 
 
 @dataclass
 class DecoderConfig:
     n: list = field(default_factory=lambda: [1, 1, 1])
-    d: list = field(default_factory=lambda: [84, 336, 778])
+    d: list = field(default_factory=lambda: [84, 336, NUM_VERTICES])
     m: list = field(default_factory=lambda: ["attn", "attn", "attn"])
     c: list = field(default_factory=lambda: [256, 128, 64])
     heads: int = 4
@@ -62,7 +60,6 @@ class DecoderLayer(Module):
     """reduce -> + pos_emb -> blocks -> token upsample."""
 
     def __init__(self, n_in, c_in, c_out, n_blocks, mixer, heads, d_out, rng, use_pos_emb=True):
-        self.n_in = n_in
         self.reduce = Affine(c_in, c_out, rng)
         # zero start keeps the block stack permutation-equivariant at init
         self.pos_emb = Tensor(np.zeros((n_in, c_out), dtype=np.float32), requires_grad=True) if use_pos_emb else None
@@ -71,8 +68,6 @@ class DecoderLayer(Module):
         self.up_bias = Tensor(np.zeros((d_out, 1), dtype=np.float32), requires_grad=True)
 
     def __call__(self, x):
-        if x.shape[1] != self.n_in:
-            raise ValueError(f"layer built for {self.n_in} tokens, got {x.shape[1]}")
         x = self.reduce(x)
         if self.pos_emb is not None:
             x = ag.add(x, self.pos_emb)

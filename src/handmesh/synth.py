@@ -22,6 +22,7 @@ IMAGE_SIZE = 224
 HEATMAP_SIGMA = 4.0
 NUM_JOINTS = 21
 NUM_VERTICES = 778
+INPUT_SHAPE = (NUM_JOINTS + 1, IMAGE_SIZE, IMAGE_SIZE)  # 21 keypoint heatmaps + 1 silhouette
 
 _BLUR_SIGMA = 3.0  # silhouette blur
 _BLUR_REACH = int(4.0 * _BLUR_SIGMA + 0.5)  # gaussian_filter's radius at its default truncate=4.0
@@ -66,7 +67,7 @@ class Skeleton:
 
 @dataclass
 class HandSample:
-    input: np.ndarray  # (22, 224, 224) float32, rendered in float64
+    input: np.ndarray  # INPUT_SHAPE float32, rendered in float64
     V_3d: np.ndarray  # (778, 3) mm, root-relative
     J_3d: np.ndarray  # (21, 3) mm, root-relative
     J_2d: np.ndarray  # (21, 2) px
@@ -314,7 +315,7 @@ def render_input(J_2d, V_2d, out=None):
     result is bit for bit that of blurring the whole image.
     """
     if out is None:
-        out = np.empty((NUM_JOINTS + 1, IMAGE_SIZE, IMAGE_SIZE))
+        out = np.empty(INPUT_SHAPE)
     grid = np.arange(IMAGE_SIZE, dtype=np.float64)
     gx = np.exp(-0.5 * ((grid - J_2d[:, 0:1]) / HEATMAP_SIGMA) ** 2)
     gy = np.exp(-0.5 * ((grid - J_2d[:, 1:2]) / HEATMAP_SIGMA) ** 2)
@@ -336,7 +337,7 @@ def generate_sample(assets, seed, out=None):
     """One fully self-consistent sample: J_3d := J @ V_3d, J_2d := project(J_3d).
     The input is rendered into `out` if given, else into a new float32 array."""
     if out is None:
-        out = np.empty((NUM_JOINTS + 1, IMAGE_SIZE, IMAGE_SIZE), dtype=np.float32)
+        out = np.empty(INPUT_SHAPE, dtype=np.float32)
     pose = sample_pose(assets.skeleton, substream(seed, "pose"))
     V = skin(assets, pose)
     J3 = assets.J @ V

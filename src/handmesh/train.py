@@ -2,6 +2,8 @@
 
 Every stochastic choice (weight init, batch order) flows from the config
 seed through named substreams, so a (config, seed) pair pins the run.
+A non-finite value stops a run through one path: a forward check or the
+loss raises FloatingPointError, and train() writes nan_dump.json.
 """
 
 import csv
@@ -35,7 +37,8 @@ def dataset_loss(model, ds, assets, weights):
     """Mean total loss over the whole dataset, no gradient recording.
 
     Used for the before/after convergence ratio so it never depends on
-    which batch happened to be drawn at step 0 or at the last step.
+    which batch happened to be drawn at step 0 or at the last step. A
+    non-finite model raises FloatingPointError.
     """
     totals = []
     for start in range(0, len(ds), LOSS_BATCH):
@@ -53,13 +56,13 @@ def build_model(cfg, dtype=np.float32):
     return HandMeshModel(cfg.sampler, cfg.decoder, seed=cfg.seed).astype(dtype)
 
 
-def _dump_abort(cfg, step, idxs, breakdown=None, reason="non-finite loss"):
+def _dump_abort(cfg, step, idxs, reason):
     dump = {"step": step, "indices": [int(i) for i in idxs], "reason": reason,
-            "breakdown": breakdown, "config": asdict(cfg)}
+            "config": asdict(cfg)}
     path = os.path.join(cfg.out_dir, "nan_dump.json")
     with open(path, "w") as dh:
         json.dump(dump, dh, indent=2)
-    raise RuntimeError(f"non-finite loss at step {step}; diagnostics in {path}")
+    raise RuntimeError(f"{reason} at step {step}; diagnostics in {path}")
 
 
 def train(cfg):
@@ -88,10 +91,7 @@ def train(cfg):
                     bd = total_loss(out.vertices, batch["V_3d"], out.keypoints_2d,
                                     batch["J_2d"], ds.assets.J, cfg.loss_weights)
                 except FloatingPointError as err:
-                    # a non-finite intermediate tripped a forward check
-                    _dump_abort(cfg, step, idxs, reason=str(err))
-                if not np.isfinite(bd.total):
-                    _dump_abort(cfg, step, idxs, breakdown=bd.to_dict())
+                    _dump_abort(cfg, step, idxs, str(err))
                 tape.backward(bd.total_node)
             # the tape holds the activations, their gradients and the attention
             # probabilities; free them, the output and the input batch before

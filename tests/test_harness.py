@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from handmesh import ablate as ablate_module
-from handmesh import bench, dataio
+from handmesh import bench, cli, dataio
 from handmesh import train as train_module
 from handmesh.ablate import apply_cell, cell_id, expand_grid, read_rows, run_ablation, summarize
 from handmesh.bench import run_bench
@@ -181,7 +181,7 @@ class TestTrain:
         with pytest.raises(RuntimeError, match="non-finite"):
             train(cfg)
         dump = json.loads((tmp_path / "run" / "nan_dump.json").read_text())
-        assert {"step", "indices", "reason", "config"} <= set(dump)
+        assert set(dump) == {"step", "indices", "reason", "config"}
 
     def test_paper_config_step_records_72_tape_nodes(self, small_dataset):
         ds = dataio.Dataset(small_dataset)
@@ -642,3 +642,50 @@ class TestCliPipeline:
         rc = main(["eval", "--config", str(tmp_path / "nope" / "config.json")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_eval_reads_only_the_run_config_it_names(self, small_dataset, tmp_path, capsys):
+        # the model is read from the config's directory, so a config of
+        # another name there would be scored with the run's own config
+        run = tmp_path / "run"
+        train(tiny_config(small_dataset, run, total_steps=1))
+        other = json.loads((run / "config.json").read_text())
+        other["sampler"]["variant"] = "bogus"
+        (run / "other.json").write_text(json.dumps(other))
+        capsys.readouterr()
+        for path in (run / "other.json", run / "nonexistent.json"):
+            assert main(["eval", "--config", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ValueError:")
+            assert str(path) in lines[0]
+
+    def test_train_flags_override_the_config(self, small_dataset, tmp_path):
+        run = tmp_path / "run"
+        assert main(["train", "--dataset", small_dataset, "--out", str(run),
+                     "--steps", "1", "--seed", "3"]) == 0
+        cfg = ExperimentConfig.load(run / "config.json")
+        assert cfg.total_steps == 1 and cfg.seed == 3 and cfg.dataset == small_dataset
+
+    def test_ablate_prints_the_summary_of_its_csv(self, small_dataset, tmp_path, capsys,
+                                                  monkeypatch):
+        # the CLI scores 500 held-out samples per run; one is enough here
+        monkeypatch.setattr(cli, "run_ablation",
+                            lambda *a, **kw: run_ablation(*a, eval_count=1, **kw))
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(IDENTITY_GRID))
+        out = tmp_path / "abl"
+        assert main(["ablate", "--grid", str(grid), "--dataset", small_dataset,
+                     "--out", str(out), "--steps", "1"]) == 0
+        csv_path = str(out / "ablation.csv")
+        assert len(read_rows(csv_path)) == 3
+        # one progress line per run, then the summary
+        stdout = capsys.readouterr().out
+        progress, summary = stdout[:stdout.index("{")], stdout[stdout.index("{"):]
+        assert len(progress.splitlines()) == 3
+        assert json.loads(summary) == summarize(csv_path)
+
+    def test_bench_out_holds_the_printed_report(self, tmp_path, capsys):
+        assert main(["bench", "--iters", "10", "--out", str(tmp_path / "b")]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert json.loads((tmp_path / "b" / "bench.json").read_text()) == printed

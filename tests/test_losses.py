@@ -240,7 +240,11 @@ class TestTotalLoss:
             tape.backward(bd.total_node)
         assert np.all(V.grad == 0.0)
 
-    def test_to_dict_keys(self):
+    def test_nonfinite_total_raises_naming_its_terms(self):
+        # the global sampler runs no coordinate check, so a NaN keypoint
+        # prediction first shows in the loss
         J, V_gt, V_pred, J2d_gt, J2d_pred = self._random_case(22)
-        d = total_loss(V_pred, V_gt, J2d_pred, J2d_gt, J).to_dict()
-        assert set(d) == {"L_vert", "L_J3d", "L_J2d", "total"}
+        J2d_pred[1, 4, 0] = np.nan
+        with pytest.raises(FloatingPointError, match="L_J2d=nan") as err:
+            total_loss(V_pred, V_gt, J2d_pred, J2d_gt, J)
+        assert "L_vert=" in str(err.value) and "L_J3d=" in str(err.value)

@@ -10,7 +10,9 @@ import pytest
 
 import handmesh
 from handmesh import autograd as ag
+from handmesh import regressor, synth
 from handmesh.autograd import Tape, Tensor
+from handmesh.model import HandMeshModel
 from handmesh.nn import MetaformerBlock, SelfAttention
 from handmesh.regressor import DecoderConfig, DecoderLayer, MeshRegressor
 from handmesh.rng import substream
@@ -127,6 +129,15 @@ class TestDecoderLayer:
         want = layer.up_weight.data @ x + layer.up_bias.data
         got = layer(Tensor(x)).data
         assert np.abs(got - want).max() / np.abs(want).max() < 1e-12
+
+    @pytest.mark.parametrize("pos_emb", [True, False])
+    def test_wrong_token_count_raises(self, pos_emb):
+        # MeshRegressor checks its tokens on entry; a direct caller meets the
+        # position-embedding add, or without one the upsampling matmul
+        layer = DecoderLayer(5, 6, 6, 0, "identity", 2, 9, substream(12, "layer"),
+                             use_pos_emb=pos_emb)
+        with pytest.raises(ValueError):
+            layer(Tensor(np.ones((2, 4, 6), dtype=np.float32)))
 
     def test_zero_position_embedding_is_transparent(self):
         layer = self._layer(9, n_blocks=1, mixer="attn")
@@ -256,6 +267,14 @@ class TestMeshRegressor:
         done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                               capture_output=True, text=True, timeout=120, check=True)
         assert done.stdout.strip() == "FloatingPointError"
+
+    def test_sample_layout_comes_from_synth(self):
+        assert regressor.NUM_VERTICES is synth.NUM_VERTICES
+        assert DecoderConfig().d[-1] == synth.NUM_VERTICES
+        stem = HandMeshModel().tokens.backbone.stages[0].weight
+        assert stem.shape[1] == synth.INPUT_SHAPE[0]
+        with pytest.raises(ValueError, match="expected one of \\('attn', 'identity'\\)"):
+            MetaformerBlock(8, "conv", 2, substream(37, "block"))
 
     def test_wrong_token_count_rejected(self):
         reg = MeshRegressor(DecoderConfig(), 21, 64, substream(33, "reg"))

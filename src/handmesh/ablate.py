@@ -8,6 +8,7 @@ import csv
 import itertools
 import json
 import os
+import sys
 import time
 from dataclasses import asdict, replace
 
@@ -61,7 +62,7 @@ def _config_key(config):
     return json.dumps({**config, "seed": 0, "out_dir": ""}, sort_keys=True)
 
 
-def run_ablation(base_cfg, grid, out_csv, seeds=(0, 1, 2), eval_count=500, log=print):
+def run_ablation(base_cfg, grid, out_csv, seeds=(0, 1, 2), eval_count=500):
     """Train and evaluate every valid (cell, seed); append rows to out_csv.
 
     Each run is scored on held-out samples: the next `eval_count` of the
@@ -70,7 +71,7 @@ def run_ablation(base_cfg, grid, out_csv, seeds=(0, 1, 2), eval_count=500, log=p
 
     A cell that out_csv already holds under another config is refused
     before any training, since its runs would overwrite those rows' run
-    directories.
+    directories. Skipped cells and per-run progress go to stderr.
     """
     if len(set(seeds)) < 3:
         raise ValueError(f"need at least 3 distinct shared seeds, got {tuple(seeds)}")
@@ -84,7 +85,7 @@ def run_ablation(base_cfg, grid, out_csv, seeds=(0, 1, 2), eval_count=500, log=p
         try:
             cells.append((cid, apply_cell(base_cfg, cell)))
         except (ValueError, TypeError) as err:
-            log(f"skipping cell {cid}: {err}")
+            print(f"skipping cell {cid}: {err}", file=sys.stderr)
     new_file = not (os.path.exists(out_csv) and os.path.getsize(out_csv) > 0)
     held = {}  # cell id -> config keys of its rows already in out_csv
     if not new_file:
@@ -125,8 +126,8 @@ def run_ablation(base_cfg, grid, out_csv, seeds=(0, 1, 2), eval_count=500, log=p
                                  params_nb, f"{steps_per_sec:.4f}", cfg.total_steps,
                                  json.dumps(asdict(cfg), sort_keys=True)])
                 fh.flush()
-                log(f"cell {cid} seed {seed}: PA-MPVPE {report['pa_mpvpe_mm']:.3f} mm "
-                    f"({steps_per_sec:.2f} steps/s)")
+                print(f"cell {cid} seed {seed}: PA-MPVPE {report['pa_mpvpe_mm']:.3f} mm "
+                      f"({steps_per_sec:.2f} steps/s)", file=sys.stderr)
     return out_csv
 
 

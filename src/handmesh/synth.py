@@ -49,7 +49,7 @@ _FINGERS = [
     ("pinky", (-27.0, 82.0, 0.0), (-0.15, 1.00, 0.0), (24.0, 16.0, 12.0), (7.0, 4.5)),
 ]
 
-# max rotation-vector angle (radians): wrist, then MCP/PIP/DIP/TIP per finger
+# max rotation-vector angle (radians) sample_pose draws: wrist, then MCP/PIP/DIP per finger
 _LIMIT_WRIST = 0.9
 _LIMIT_MCP = 1.1
 _LIMIT_PIP = 1.4
@@ -61,7 +61,6 @@ _ABDUCTION = 0.22
 class Skeleton:
     joints: np.ndarray  # (21, 3) mm
     parents: np.ndarray  # (21,) int, root 0 has parent -1
-    limits: np.ndarray  # (21,) max rotation angle in radians
     flex_axes: np.ndarray  # (21, 3) unit flexion axis per joint
 
 
@@ -94,10 +93,8 @@ def _fibonacci_sphere(n):
 def _build_skeleton():
     joints = np.zeros((NUM_JOINTS, 3))
     parents = np.full(NUM_JOINTS, -1, dtype=np.int64)
-    limits = np.zeros(NUM_JOINTS)
     flex = np.zeros((NUM_JOINTS, 3))
     joints[0] = _WRIST
-    limits[0] = _LIMIT_WRIST
     flex[0] = (0.0, 0.0, 1.0)
     z = np.array([0.0, 0.0, 1.0])
     for f, (_, mcp, d, lens, _) in enumerate(_FINGERS):
@@ -111,8 +108,7 @@ def _build_skeleton():
             joints[base + k] = pts[k]
             parents[base + k] = 0 if k == 0 else base + k - 1
             flex[base + k] = axis
-        limits[base : base + 4] = (_LIMIT_MCP, _LIMIT_PIP, _LIMIT_DIP, 0.0)
-    return Skeleton(joints=joints, parents=parents, limits=limits, flex_axes=flex)
+    return Skeleton(joints=joints, parents=parents, flex_axes=flex)
 
 
 def _build_mesh():
@@ -228,29 +224,21 @@ def _rotvec_to_matrix(rv):
 
 
 def sample_pose(skeleton, rng):
-    """Rotation vectors (21, 3) within the skeleton's angle limits."""
+    """Rotation vectors (21, 3) within the _LIMIT_* angles; TIP joints stay rigid.
+
+    An MCP's flexion axis is perpendicular to z, so its angle is at most
+    hypot(0.92 * _LIMIT_MCP, _ABDUCTION) < _LIMIT_MCP.
+    """
     pose = np.zeros((NUM_JOINTS, 3))
-    if skeleton.limits[0] > 0:
-        axis = rng.normal(size=3)
-        axis /= np.linalg.norm(axis)
-        pose[0] = axis * rng.uniform(0.0, skeleton.limits[0])
-    for f in range(5):
-        base = 1 + 4 * f
-        for k in range(3):  # MCP, PIP, DIP flex; TIP stays rigid
-            j = base + k
-            lim = skeleton.limits[j]
-            if lim <= 0:
-                continue
-            if k == 0:
-                flex = rng.uniform(0.0, 0.92 * lim)
-                abd = rng.uniform(-_ABDUCTION, _ABDUCTION)
-                rv = flex * skeleton.flex_axes[j] + abd * np.array([0.0, 0.0, 1.0])
-                norm = np.linalg.norm(rv)
-                if norm > lim:
-                    rv *= lim / norm
-                pose[j] = rv
-            else:
-                pose[j] = rng.uniform(0.0, lim) * skeleton.flex_axes[j]
+    axis = rng.normal(size=3)
+    pose[0] = axis / np.linalg.norm(axis) * rng.uniform(0.0, _LIMIT_WRIST)
+    axes = skeleton.flex_axes
+    for base in range(1, NUM_JOINTS, 4):  # MCP, PIP and DIP of each finger
+        flex = rng.uniform(0.0, 0.92 * _LIMIT_MCP)
+        abd = rng.uniform(-_ABDUCTION, _ABDUCTION)
+        pose[base] = flex * axes[base] + abd * np.array([0.0, 0.0, 1.0])
+        pose[base + 1] = rng.uniform(0.0, _LIMIT_PIP) * axes[base + 1]
+        pose[base + 2] = rng.uniform(0.0, _LIMIT_DIP) * axes[base + 2]
     return pose
 
 

@@ -17,7 +17,7 @@ from .nn import Conv2d, ConvTranspose2d, Module
 from .synth import IMAGE_SIZE, NUM_JOINTS
 
 VARIANTS = ("global", "grid", "keypoint", "coarse_mesh")
-# the transposed-conv strides of each upsampling scheme, applied to the 7x7 map
+# the transposed-conv strides of each upsampling scheme, applied to the backbone's map
 _SCHEME_STRIDES = {"none": (), "single-2x": (2,), "single-4x": (4,), "double-2x": (2, 2),
                    "4x-with-extra-convs": (2, 2)}
 SCHEMES = tuple(_SCHEME_STRIDES)
@@ -27,6 +27,8 @@ COARSE_TOKENS = 98  # every-8th vertex of the 778-vertex template
 # stage 0 is at least as wide as the input so every channel keeps a
 # pass-through slot under the smoothing init below
 BACKBONE_WIDTHS = (24, 32, 64, 64, 64)
+# each stride-2 stage halves the map: IMAGE_SIZE // _REDUCTION is the backbone's output side
+_REDUCTION = 2 ** len(BACKBONE_WIDTHS)
 
 
 @dataclass
@@ -42,12 +44,13 @@ class SamplerConfig:
             raise ValueError(f"unknown upsample scheme {self.upsample_scheme!r}, expected one of {SCHEMES}")
         if type(self.target_resolution) is not int:  # the exact check also refuses bool
             raise ValueError(f"target resolution must be an integer, got {self.target_resolution!r}")
-        resolution = 7 * int(np.prod(_SCHEME_STRIDES[self.upsample_scheme]))
+        base = IMAGE_SIZE // _REDUCTION
+        resolution = base * int(np.prod(_SCHEME_STRIDES[self.upsample_scheme]))
         if resolution != self.target_resolution:
             raise ValueError(f"scheme {self.upsample_scheme!r} yields resolution {resolution}, "
                              f"config asks for {self.target_resolution}")
         if self.variant in ("global", "grid") and self.upsample_scheme != "none":
-            raise ValueError(f"{self.variant} sampling runs at resolution 7 with no upsampling")
+            raise ValueError(f"{self.variant} sampling runs at resolution {base} with no upsampling")
 
 
 def expected_tokens(cfg):
@@ -120,8 +123,8 @@ class ToyBackbone(Module):
         self.out_channels = prev
 
     def __call__(self, x):
-        if x.shape[2] % 32 or x.shape[3] % 32:
-            raise ValueError(f"backbone input spatial dims must divide 32, got {x.shape}")
+        if x.shape[2] % _REDUCTION or x.shape[3] % _REDUCTION:
+            raise ValueError(f"backbone input spatial dims must divide {_REDUCTION}, got {x.shape}")
         for stage in self.stages:
             x = stage(x)
         return x

@@ -33,6 +33,12 @@ class RunArtifacts:
     final_loss: float
 
 
+def batch_loss(model, batch, J, weights):
+    """The one supervised forward: the model on a batch's input, then total_loss."""
+    out = model(Tensor(batch["input"]))
+    return total_loss(out.vertices, batch["V_3d"], out.keypoints_2d, batch["J_2d"], J, weights)
+
+
 def dataset_loss(model, ds, assets, weights):
     """Mean total loss over the whole dataset, no gradient recording.
 
@@ -43,11 +49,7 @@ def dataset_loss(model, ds, assets, weights):
     totals = []
     for start in range(0, len(ds), LOSS_BATCH):
         idxs = np.arange(start, min(start + LOSS_BATCH, len(ds)))
-        batch = ds.batch(idxs)
-        out = model(Tensor(batch["input"]))
-        bd = total_loss(out.vertices, batch["V_3d"], out.keypoints_2d,
-                        batch["J_2d"], assets.J, weights)
-        totals.append((bd.total, len(idxs)))
+        totals.append((batch_loss(model, ds.batch(idxs), assets.J, weights).total, len(idxs)))
     return float(sum(t * n for t, n in totals) / sum(n for _, n in totals))
 
 
@@ -56,16 +58,14 @@ def build_model(cfg, dtype=np.float32):
     return HandMeshModel(cfg.sampler, cfg.decoder, seed=cfg.seed).astype(dtype)
 
 
-def _dump_abort(cfg, step, idxs, reason):
-    dump = {"step": step, "indices": [int(i) for i in idxs], "reason": reason,
-            "config": asdict(cfg)}
-    path = os.path.join(cfg.out_dir, "nan_dump.json")
-    with open(path, "w") as dh:
-        json.dump(dump, dh, indent=2)
-    raise RuntimeError(f"{reason} at step {step}; diagnostics in {path}")
-
-
 def train(cfg):
+    """Write config.json, steps.csv and checkpoint.bin to cfg.out_dir.
+
+    A FloatingPointError in either dataset pass or any step raises
+    RuntimeError after writing nan_dump.json: the optimizer steps taken, the
+    indices the failing forward read (all for a dataset pass), the reason
+    and the config.
+    """
     if not os.path.isdir(cfg.dataset):
         raise FileNotFoundError(f"dataset directory not found: {cfg.dataset}")
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -78,34 +78,36 @@ def train(cfg):
     log_path = os.path.join(cfg.out_dir, "steps.csv")
     cfg.save(os.path.join(cfg.out_dir, "config.json"))
 
-    initial = dataset_loss(model, ds, ds.assets, cfg.loss_weights)
-    with open(log_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "L_vert", "L_J3d", "L_J2d", "total", "lr"])
-        for step in range(cfg.total_steps):
-            idxs = order.integers(0, len(ds), size=cfg.batch_size)
-            batch = ds.batch(idxs)
-            with Tape() as tape:
-                try:
-                    out = model(Tensor(batch["input"]))
-                    bd = total_loss(out.vertices, batch["V_3d"], out.keypoints_2d,
-                                    batch["J_2d"], ds.assets.J, cfg.loss_weights)
-                except FloatingPointError as err:
-                    _dump_abort(cfg, step, idxs, str(err))
-                tape.backward(bd.total_node)
-            # the tape holds the activations, their gradients and the attention
-            # probabilities; free them, the output and the input batch before
-            # the optimizer step and the next batch read
-            del tape, out, batch
-            lr = lr_at_step(cfg.lr, step, cfg.total_steps)
-            opt.step(lr)
-            writer.writerow([step, repr(bd.L_vert), repr(bd.L_J3d), repr(bd.L_J2d),
-                             repr(bd.total), repr(lr)])
-
-    # the optimizer state is dead: free it, so the dataset loss's forwards
-    # reuse its memory
-    del opt
-    final = dataset_loss(model, ds, ds.assets, cfg.loss_weights)
+    step, idxs = 0, np.arange(len(ds))
+    try:
+        initial = dataset_loss(model, ds, ds.assets, cfg.loss_weights)
+        with open(log_path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["step", "L_vert", "L_J3d", "L_J2d", "total", "lr"])
+            for step in range(cfg.total_steps):
+                idxs = order.integers(0, len(ds), size=cfg.batch_size)
+                with Tape() as tape:
+                    bd = batch_loss(model, ds.batch(idxs), ds.assets.J, cfg.loss_weights)
+                    tape.backward(bd.total_node)
+                # the tape holds the input batch, the activations, their
+                # gradients and the attention probabilities; free them before
+                # the optimizer step and the next batch read
+                del tape
+                lr = lr_at_step(cfg.lr, step, cfg.total_steps)
+                opt.step(lr)
+                writer.writerow([step, repr(bd.L_vert), repr(bd.L_J3d), repr(bd.L_J2d),
+                                 repr(bd.total), repr(lr)])
+        # the optimizer state is dead: free it, so the dataset loss's forwards
+        # reuse its memory
+        del opt
+        step, idxs = cfg.total_steps, np.arange(len(ds))
+        final = dataset_loss(model, ds, ds.assets, cfg.loss_weights)
+    except FloatingPointError as err:
+        path = os.path.join(cfg.out_dir, "nan_dump.json")
+        with open(path, "w") as dh:
+            json.dump({"step": step, "indices": [int(i) for i in idxs], "reason": str(err),
+                       "config": asdict(cfg)}, dh, indent=2)
+        raise RuntimeError(f"{err} at step {step}; diagnostics in {path}") from err
     dataio.save_checkpoint(ckpt_path, model.state_dict())
     return RunArtifacts(checkpoint=ckpt_path, log_csv=log_path, initial_loss=initial, final_loss=final)
 

@@ -19,11 +19,11 @@ from handmesh.bench import run_bench
 from handmesh.cli import main
 from handmesh.config import ExperimentConfig
 from handmesh.evaluate import evaluate, reaggregate_csv
-from handmesh.losses import LossWeights, total_loss
+from handmesh.losses import LossWeights
 from handmesh.metrics import METRIC_COLUMNS
 from handmesh.model import ModelOutput
 from handmesh.tokens import SamplerConfig
-from handmesh.train import build_model, dataset_loss, load_trained_model, train
+from handmesh.train import batch_loss, build_model, dataset_loss, load_trained_model, train
 from handmesh.autograd import Tape, Tensor
 
 
@@ -183,15 +183,25 @@ class TestTrain:
         dump = json.loads((tmp_path / "run" / "nan_dump.json").read_text())
         assert set(dump) == {"step", "indices", "reason", "config"}
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # lr 1e12 overflows on purpose
+    def test_nonfinite_final_pass_aborts_with_dump(self, tmp_path):
+        # one step leaves non-finite weights, so the final dataset pass is
+        # the forward that fails; the dump names all four samples it read
+        data = str(tmp_path / "data")
+        dataio.generate_dataset(data, 4, 7)
+        cfg = tiny_config(data, tmp_path / "run", total_steps=1, lr=1e12)
+        with pytest.raises(RuntimeError, match="non-finite.*at step 1"):
+            train(cfg)
+        dump = json.loads((tmp_path / "run" / "nan_dump.json").read_text())
+        assert set(dump) == {"step", "indices", "reason", "config"}
+        assert dump["step"] == 1 and dump["indices"] == [0, 1, 2, 3]
+
     def test_paper_config_step_records_72_tape_nodes(self, small_dataset):
         ds = dataio.Dataset(small_dataset)
-        batch = ds.batch(np.arange(4))
         cfg = ExperimentConfig()
         model = build_model(cfg)
         with Tape() as tape:
-            out = model(Tensor(batch["input"]))
-            total_loss(out.vertices, batch["V_3d"], out.keypoints_2d, batch["J_2d"],
-                       ds.assets.J, cfg.loss_weights)
+            batch_loss(model, ds.batch(np.arange(4)), ds.assets.J, cfg.loss_weights)
         assert len(tape) == 72
 
     def test_paper_config_forward_retains_under_40_mib(self, small_dataset):
@@ -367,7 +377,7 @@ class TestAblate:
             {"variant": "keypoint", "target_resolution": 14, "upsample_scheme": "single-2x"},
             {"variant": "keypoint", "target_resolution": 28, "upsample_scheme": "double-2x"},
         ]}
-        run_ablation(base, grid, csv_path, eval_count=1, log=lambda *_: None)
+        run_ablation(base, grid, csv_path, eval_count=1)
         assert len(read_rows(csv_path)) == 6
         assert len(summarize(csv_path)) == 2
         assert len(os.listdir(tmp_path / "abl" / "runs")) == 2
@@ -375,9 +385,8 @@ class TestAblate:
     def test_mixer_grid_emits_two_rows_per_seed(self, small_dataset, tmp_path):
         base = tiny_config(small_dataset, tmp_path / "unused", total_steps=1, batch_size=1)
         csv_path = str(tmp_path / "abl" / "ablation.csv")
-        logs = []
         grid = {"decoder": [{"m": ["attn"] * 3}, {"m": ["identity"] * 3}]}
-        run_ablation(base, grid, csv_path, seeds=(0, 1, 2), eval_count=2, log=logs.append)
+        run_ablation(base, grid, csv_path, seeds=(0, 1, 2), eval_count=2)
         rows = read_rows(csv_path)
         assert len(rows) == 6
         by_cell = {}
@@ -392,53 +401,53 @@ class TestAblate:
     def test_row_param_counts_match_bench(self, small_dataset, tmp_path):
         base = tiny_config(small_dataset, tmp_path / "unused", total_steps=1, batch_size=1)
         csv_path = str(tmp_path / "abl" / "ablation.csv")
-        run_ablation(base, IDENTITY_GRID, csv_path, eval_count=1, log=lambda *_: None)
+        run_ablation(base, IDENTITY_GRID, csv_path, eval_count=1)
         row = read_rows(csv_path)[0]
         cfg = ExperimentConfig.from_dict(json.loads(row["config"]))
         bench = run_bench(cfg, iters=10, warmup=1)
         assert int(row["params_non_backbone"]) == bench["params"]["non_backbone"]
 
-    def test_invalid_cells_skipped_with_reason(self, small_dataset, tmp_path):
+    def test_invalid_cells_skipped_with_reason(self, small_dataset, tmp_path, capsys):
         base = tiny_config(small_dataset, tmp_path / "unused", total_steps=1, batch_size=1)
         csv_path = str(tmp_path / "abl" / "ablation.csv")
         grid = {"sampler": [
             {"variant": "global", "target_resolution": 28, "upsample_scheme": "double-2x"},
             {"variant": "global", "target_resolution": 7, "upsample_scheme": "none"},
         ]}
-        logs = []
-        run_ablation(base, grid, csv_path, eval_count=1, log=logs.append)
+        run_ablation(base, grid, csv_path, eval_count=1)
         rows = read_rows(csv_path)
         assert {r["cell"] for r in rows} == {
             "sampler=target_resolution=7,upsample_scheme=none,variant=global"}
         assert len(rows) == 3  # only the valid cell, all three seeds
-        assert any("skipping cell" in line for line in logs)
+        assert any("skipping cell" in line for line in capsys.readouterr().err.splitlines())
 
-    def test_bool_block_count_cell_skipped_before_training(self, small_dataset, tmp_path, monkeypatch):
+    def test_bool_block_count_cell_skipped_before_training(self, small_dataset, tmp_path, monkeypatch,
+                                                           capsys):
         # a JSON true in `n` is not the one-block model `n=1-1-1`: the cell
         # is refused at load, before the valid cell trains
         base = tiny_config(small_dataset, tmp_path / "unused", total_steps=1, batch_size=1)
         csv_path = str(tmp_path / "abl" / "ablation.csv")
-        events = []
+        stderr_at_train = []  # what run_ablation printed to stderr since the last train
 
         def logged_train(cfg):
-            events.append("train")
+            stderr_at_train.append(capsys.readouterr().err)
             return train(cfg)
 
         monkeypatch.setattr(ablate_module, "train", logged_train)
         grid = {"decoder": [{"n": [True, 1, 1]}, {"m": ["identity"] * 3}]}
-        run_ablation(base, grid, csv_path, eval_count=1, log=events.append)
+        run_ablation(base, grid, csv_path, eval_count=1)
         assert {r["cell"] for r in read_rows(csv_path)} == {"decoder=m=identity-identity-identity"}
-        assert events[0] == ("skipping cell decoder=n=True-1-1: n, d, c and heads must be integers, "
-                             "got n=[True, 1, 1], d=[84, 336, 778], c=[256, 128, 64], heads=4")
-        assert events.count("train") == 3
+        assert stderr_at_train[0] == (
+            "skipping cell decoder=n=True-1-1: n, d, c and heads must be integers, "
+            "got n=[True, 1, 1], d=[84, 336, 778], c=[256, 128, 64], heads=4\n")
+        assert len(stderr_at_train) == 3
 
     def test_csv_is_append_only(self, small_dataset, tmp_path):
         base = tiny_config(small_dataset, tmp_path / "unused", total_steps=1, batch_size=1)
         csv_path = str(tmp_path / "abl" / "ablation.csv")
-        run_ablation(base, IDENTITY_GRID, csv_path, eval_count=1, log=lambda *_: None)
+        run_ablation(base, IDENTITY_GRID, csv_path, eval_count=1)
         first = open(csv_path).read()
-        run_ablation(base, {"decoder": [{"m": ["attn"] * 3}]}, csv_path, eval_count=1,
-                     log=lambda *_: None)
+        run_ablation(base, {"decoder": [{"m": ["attn"] * 3}]}, csv_path, eval_count=1)
         second = open(csv_path).read()
         assert second.startswith(first)
         assert len(read_rows(csv_path)) == 6
@@ -449,7 +458,7 @@ class TestAblate:
         csv_path = str(tmp_path / "abl" / "ablation.csv")
         cid = "decoder=m=identity-identity-identity"
         base = tiny_config(small_dataset, tmp_path / "unused", total_steps=1, batch_size=1)
-        run_ablation(base, IDENTITY_GRID, csv_path, eval_count=1, log=lambda *_: None)
+        run_ablation(base, IDENTITY_GRID, csv_path, eval_count=1)
         assert summarize(csv_path)[cid]["seeds"] == [0, 1, 2]
         rows = read_rows(csv_path)
         with open(csv_path, "a", newline="") as fh:
@@ -465,10 +474,10 @@ class TestAblate:
         cid = "decoder=m=identity-identity-identity"
         one, two = (tiny_config(small_dataset, tmp_path / "unused", total_steps=steps, batch_size=1)
                     for steps in (1, 2))
-        run_ablation(one, IDENTITY_GRID, csv_path, eval_count=1, log=lambda *_: None)
+        run_ablation(one, IDENTITY_GRID, csv_path, eval_count=1)
         first = open(csv_path).read()
         with pytest.raises(ValueError, match=re.escape(cid)):
-            run_ablation(two, IDENTITY_GRID, csv_path, eval_count=1, log=lambda *_: None)
+            run_ablation(two, IDENTITY_GRID, csv_path, eval_count=1)
         assert open(csv_path).read() == first
         seed0 = tmp_path / "abl" / "runs" / cid / "seed0" / "config.json"
         assert json.load(open(seed0))["total_steps"] == 1
@@ -536,7 +545,7 @@ class TestAblate:
     def test_row_metrics_equal_run_reports(self, small_dataset, tmp_path):
         base = tiny_config(small_dataset, tmp_path / "unused", total_steps=1, batch_size=1)
         csv_path = str(tmp_path / "abl" / "ablation.csv")
-        run_ablation(base, IDENTITY_GRID, csv_path, eval_count=2, log=lambda *_: None)
+        run_ablation(base, IDENTITY_GRID, csv_path, eval_count=2)
         rows = read_rows(csv_path)
         assert len(rows) == 3
         for row in rows:
@@ -566,7 +575,7 @@ class TestAblate:
         monkeypatch.setattr(ablate_module, "train", in_phase("train", train))
         monkeypatch.setattr(ablate_module, "evaluate", in_phase("evaluate", evaluate))
         monkeypatch.setattr(dataio.Dataset, "batch", logged_batch)
-        run_ablation(base, IDENTITY_GRID, csv_path, eval_count=3, log=lambda *_: None)
+        run_ablation(base, IDENTITY_GRID, csv_path, eval_count=3)
         count = len(dataio.Dataset(small_dataset))
         for row in read_rows(csv_path):
             run_dir = tmp_path / "abl" / "runs" / row["cell"].replace("|", "_") / f"seed{row['seed']}"
@@ -679,11 +688,10 @@ class TestCliPipeline:
                      "--out", str(out), "--steps", "1"]) == 0
         csv_path = str(out / "ablation.csv")
         assert len(read_rows(csv_path)) == 3
-        # one progress line per run, then the summary
-        stdout = capsys.readouterr().out
-        progress, summary = stdout[:stdout.index("{")], stdout[stdout.index("{"):]
-        assert len(progress.splitlines()) == 3
-        assert json.loads(summary) == summarize(csv_path)
+        # stdout is the summary alone; stderr holds one progress line per run
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == summarize(csv_path)
+        assert len(captured.err.splitlines()) == 3
 
     def test_bench_out_holds_the_printed_report(self, tmp_path, capsys):
         assert main(["bench", "--iters", "10", "--out", str(tmp_path / "b")]) == 0

@@ -1,5 +1,6 @@
 """Source lint: src states its run-time checks as raises, never as asserts,
-and autograd states its tape-recording rule in one function."""
+autograd states its tape-recording rule in one function, and train()
+stops a run through one handler."""
 
 import ast
 import os
@@ -62,3 +63,14 @@ def test_autograd_records_only_through_node():
     stray = [f"autograd.py:{call.lineno} in {func}" for func, call in _enclosed(tree, ast.Call)
              if func != "_node" and _builds_node(call)]
     assert stray == []
+
+
+def test_train_stops_through_one_handler():
+    # a non-finite value in either dataset pass or any step ends in the one
+    # handler that writes nan_dump.json
+    tries = [node for func, node in _enclosed(_parse("train.py"), ast.Try) if func == "train"]
+    assert len(tries) == 1
+    assert [ast.unparse(h.type) for h in tries[0].handlers] == ["FloatingPointError"]
+    called = [node.func.id for stmt in tries[0].body for node in ast.walk(stmt)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    assert called.count("dataset_loss") == 2 and called.count("batch_loss") == 1

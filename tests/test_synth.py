@@ -131,24 +131,20 @@ class TestRegressionMatrix:
 # pose sampling
 # ---------------------------------------------------------------------------
 
+def _pose_limits():
+    """Per-joint angle limits: the wrist, then MCP/PIP/DIP/TIP per finger (TIP is rigid)."""
+    finger = [synth._LIMIT_MCP, synth._LIMIT_PIP, synth._LIMIT_DIP, 0.0]
+    return np.array([synth._LIMIT_WRIST] + 5 * finger)
+
+
 class TestSamplePose:
     def test_deterministic_per_seed(self, assets):
         a = synth.sample_pose(assets.skeleton, substream(42, "pose"))
         b = synth.sample_pose(assets.skeleton, substream(42, "pose"))
         assert np.array_equal(a, b)
 
-    def test_zero_limits_gives_identity(self, assets):
-        sk = synth.Skeleton(
-            joints=assets.skeleton.joints,
-            parents=assets.skeleton.parents,
-            limits=np.zeros(21),
-            flex_axes=assets.skeleton.flex_axes,
-        )
-        pose = synth.sample_pose(sk, substream(7, "pose"))
-        assert np.array_equal(pose, np.zeros((21, 3)))
-
     def test_thousand_seeds_within_limits(self, assets):
-        lims = assets.skeleton.limits
+        lims = _pose_limits()
         angles = np.array([
             np.linalg.norm(synth.sample_pose(assets.skeleton, substream(s, "pose")), axis=1)
             for s in range(1000)
@@ -156,7 +152,7 @@ class TestSamplePose:
         assert (angles <= lims[None, :] + 1e-12).all()
 
     def test_coverage_every_quartile(self, assets):
-        lims = assets.skeleton.limits
+        lims = _pose_limits()
         angles = np.array([
             np.linalg.norm(synth.sample_pose(assets.skeleton, substream(s, "pose")), axis=1)
             for s in range(1000)

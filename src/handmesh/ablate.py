@@ -9,7 +9,6 @@ import itertools
 import json
 import os
 import sys
-import time
 from dataclasses import asdict, replace
 
 from . import dataio
@@ -115,13 +114,10 @@ def run_ablation(base_cfg, grid, out_csv, seeds=(0, 1, 2), eval_count=500):
             for seed in seeds:
                 run_dir = os.path.join(root, "runs", cid.replace("|", "_"), f"seed{seed}")
                 cfg = replace(cell_cfg, seed=seed, out_dir=run_dir)
-                t0 = time.perf_counter()
-                train(cfg)
-                train_secs = time.perf_counter() - t0
+                steps_per_sec = train(cfg).steps_per_sec
                 model, _ = load_trained_model(run_dir)
                 report, _ = evaluate(model, dataset, out_dir=run_dir, indices=eval_indices)
                 params_nb = model.param_count_split()[1]
-                steps_per_sec = cfg.total_steps / train_secs if train_secs > 0 else float("inf")
                 writer.writerow([cid, seed, *(repr(report[m]) for m in METRIC_COLUMNS),
                                  params_nb, f"{steps_per_sec:.4f}", cfg.total_steps,
                                  json.dumps(asdict(cfg), sort_keys=True)])

@@ -32,6 +32,7 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 # fold elements _folds flushes and reduces per step (256 KiB of float32 scratch)
 _FOLD_BLOCK = 1 << 16
+_LN_EPS = 1e-5  # layer_norm's variance floor
 
 
 class Tensor:
@@ -149,7 +150,6 @@ def _unbroadcast(g, shape):
 # ---------------------------------------------------------------------------
 
 def add(a, b):
-    a = _as_tensor(a, None)
     b = _as_tensor(b, a.dtype)
 
     def backward_fn(g):
@@ -160,7 +160,6 @@ def add(a, b):
 
 
 def mul(a, b):
-    a = _as_tensor(a, None)
     b = _as_tensor(b, a.dtype)
 
     def backward_fn(g):
@@ -170,19 +169,15 @@ def mul(a, b):
     return _node(a.data * b.data, backward_fn, a, b)
 
 
-def sum_(x, axis=None, keepdims=False):
+def sum_(x):
     def backward_fn(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
         _accum(x, np.broadcast_to(g, x.shape))
 
-    return _node(x.data.sum(axis=axis, keepdims=keepdims), backward_fn, x)
+    return _node(x.data.sum(), backward_fn, x)
 
 
 def mean(x, axis=None):
-    n = x.size if axis is None else np.prod(
-        [x.shape[a] for a in (axis if isinstance(axis, tuple) else (axis,))]
-    )
+    n = x.size if axis is None else np.prod([x.shape[a] for a in axis])
 
     def backward_fn(g):
         if axis is not None:
@@ -266,13 +261,14 @@ def gelu(x):
     return _node(x.data * phi, backward_fn, x)
 
 
-def softmax(x, axis=-1):
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+def softmax(x):
+    """Softmax over the last axis."""
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = e / e.sum(axis=-1, keepdims=True)
 
     def backward_fn(g):
-        _accum(x, y * (g - (g * y).sum(axis=axis, keepdims=True)))
+        _accum(x, y * (g - (g * y).sum(axis=-1, keepdims=True)))
 
     return _node(y, backward_fn, x)
 
@@ -336,15 +332,12 @@ def attention(qkv, heads):
     return _node(y.reshape(bsz, n, c), backward_fn, qkv)
 
 
-def layer_norm(x, gamma, beta, eps=1e-5):
-    """Normalize over the last axis: gamma * (x - mean) / sqrt(var + eps) + beta."""
-    c = x.shape[-1]
-    if c < 1:
-        raise ValueError("layer_norm needs at least one channel")
+def layer_norm(x, gamma, beta):
+    """Normalize over the last axis: gamma * (x - mean) / sqrt(var + _LN_EPS) + beta."""
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + x.dtype.type(eps))
+    inv = 1.0 / np.sqrt(var + x.dtype.type(_LN_EPS))
     xhat = xc * inv
 
     def backward_fn(g):
@@ -568,7 +561,7 @@ def _conv_dw(folds, amax, g, geom, w_shape, stride):
     return _unfold_weight(dwt.transpose(0, 2, 1), w_shape, stride)
 
 
-def conv2d(x, w, b=None, stride=1, padding=0, relu=False):
+def conv2d(x, w, b, stride=1, padding=0, relu=False):
     """Cross-correlation (no kernel flip): x (B,Cin,H,W), w (Cout,Cin,kh,kw).
 
     Runs as _conv_fwd over _folds of x and keeps only the batch's fold max.
@@ -587,16 +580,14 @@ def conv2d(x, w, b=None, stride=1, padding=0, relu=False):
     geom = _geometry(*x.shape[2:], *w.shape[2:], stride, padding)
     wt = _fold_weight(w.data, stride).astype(np.result_type(x.data, w.data), copy=False)
     y, amax = _conv_fwd(_folds(x.data, geom, stride), wt, geom, x.shape[0])
-    if b is not None:
-        y += b.data[:, None, None]
+    y += b.data[:, None, None]
     if relu:
         np.maximum(y, 0, out=y)
 
     def backward_fn(g):
         if relu:
             g = g * (y > 0)
-        if b is not None:
-            _accum(b, g.sum(axis=(0, 2, 3)))
+        _accum(b, g.sum(axis=(0, 2, 3)))
         if w.requires_grad:
             _accum(w, _conv_dw(_folds(x.data, geom, stride), amax, g, geom, w.shape, stride))
         if x.requires_grad:
@@ -605,7 +596,7 @@ def conv2d(x, w, b=None, stride=1, padding=0, relu=False):
     return _node(y, backward_fn, x, w, b)
 
 
-def conv_transpose2d(x, w, b=None, stride=2, padding=1):
+def conv_transpose2d(x, w, b, stride=2, padding=1):
     """Adjoint of conv2d: x (B,Cin,H,W), w (Cin,Cout,kh,kw) -> (B,Cout,s*H,s*W).
 
     Geometry is restricted to exact integer upsampling (k - 2p == s). With
@@ -633,12 +624,10 @@ def conv_transpose2d(x, w, b=None, stride=2, padding=1):
     geom = _geometry(*out_shape[2:], kh, kw, stride, padding)
     wt = _fold_weight(w.data, stride).astype(np.result_type(x.data, w.data), copy=False)
     y = _conv_dx(x.data, wt, geom, out_shape, stride)
-    if b is not None:
-        y += b.data[:, None, None]
+    y += b.data[:, None, None]
 
     def backward_fn(g):
-        if b is not None:
-            _accum(b, g.sum(axis=(0, 2, 3)))
+        _accum(b, g.sum(axis=(0, 2, 3)))
         gx, amax = _conv_fwd(_folds(g, geom, stride), wt, geom, bsz)
         _accum(x, gx)
         if w.requires_grad:

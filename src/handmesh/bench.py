@@ -10,14 +10,15 @@ from .synth import build_assets
 from .train import build_model
 
 
-def run_bench(cfg, iters=50, warmup=5, batch_size=1):
+def run_bench(cfg, iters=50):
     """Time bare forward passes on one fixed input; report parameter split.
 
     The input is the dataset's first `batch_size` rendered samples for
     cfg.seed, because rendered samples are what the model really reads.
     """
-    if iters < 10:
-        raise ValueError(f"need at least 10 timed iterations, got {iters}")
+    warmup, batch_size = 5, 1
+    if type(iters) is not int or iters < 10:  # the exact check also refuses bool
+        raise ValueError(f"need an integer >= 10 of timed iterations, got {iters!r}")
     model = build_model(cfg)
     img = Tensor(render_batch(build_assets(), cfg.seed, range(batch_size))["input"])
     for _ in range(warmup):

@@ -32,15 +32,9 @@ def _check_count_seed(where, count, seed):
             raise ValueError(f"{where}: {key} must be an integer >= {least}, got {value!r}")
 
 
-def generate_dataset(out_dir, count, seed):
-    """Write the dataset's only file, its manifest; byte-identical per (count, seed).
-
-    Samples are rendered when read. A count or seed read_manifest would
-    refuse raises before anything is written.
-    """
-    _check_count_seed(out_dir, count, seed)
-    os.makedirs(out_dir, exist_ok=True)
-    manifest = {
+def _manifest(count, seed):
+    """The manifest this code writes for, and reads only as, (count, seed)."""
+    return {
         "count": count,
         "seed": seed,
         "format_version": FORMAT_VERSION,
@@ -49,17 +43,32 @@ def generate_dataset(out_dir, count, seed):
         "channels": {"heatmaps": NUM_JOINTS, "silhouette": 1},
         "f_score_distances": "nearest_neighbor",
     }
+
+
+def generate_dataset(out_dir, count, seed):
+    """Write the dataset's only file, its manifest; byte-identical per (count, seed).
+
+    Samples are rendered when read. A count or seed read_manifest would
+    refuse raises before anything is written.
+    """
+    _check_count_seed(out_dir, count, seed)
+    os.makedirs(out_dir, exist_ok=True)
+    manifest = _manifest(count, seed)
     with open(os.path.join(out_dir, "manifest.json"), "w") as f:
         json.dump(manifest, f, sort_keys=True, indent=2)
     return manifest
 
 
 def read_manifest(dataset_dir):
-    """The manifest of a dataset directory, checked for a usable count and seed."""
+    """The manifest of a dataset directory: a usable count and seed, and every
+    other field as generate_dataset writes it, or this code would render other samples."""
     path = os.path.join(dataset_dir, "manifest.json")
     with open(path) as f:
         manifest = json.load(f)
-    _check_count_seed(path, manifest.get("count"), manifest.get("seed"))
+    fields = manifest if isinstance(manifest, dict) else {}  # JSON may hold a list or a number
+    _check_count_seed(path, fields.get("count"), fields.get("seed"))
+    if manifest != _manifest(manifest["count"], manifest["seed"]):
+        raise ValueError(f"{path}: {manifest} is not the manifest generate_dataset writes for its count and seed")
     return manifest
 
 
@@ -77,9 +86,9 @@ class Dataset:
     """Samples of a dataset directory, rendered from its manifest on read."""
 
     def __init__(self, dataset_dir):
-        self.manifest = read_manifest(dataset_dir)
-        self.count = self.manifest["count"]
-        self.seed = self.manifest["seed"]
+        manifest = read_manifest(dataset_dir)
+        self.count = manifest["count"]
+        self.seed = manifest["seed"]
         self.assets = build_assets()
 
     def __len__(self):

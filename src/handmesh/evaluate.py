@@ -30,8 +30,8 @@ def evaluate(model, dataset, out_dir=None, batch_size=8, indices=None):
     indices = list(indices)
     if not indices:
         raise ValueError("nothing to evaluate: empty index set")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size!r}")
+    if type(batch_size) is not int or batch_size < 1:  # the exact check also refuses bool
+        raise ValueError(f"batch_size must be an integer >= 1, got {batch_size!r}")
     J = dataset.assets.J
     rows = []
     for lo in range(0, len(indices), batch_size):

@@ -27,14 +27,12 @@ def joints_from_vertices(V, J):
 
 
 def l1_mean(pred, gt):
-    """Mean absolute difference over every element: sum|pred-gt| / (M*D)."""
+    """Mean absolute difference of a Tensor from an array: sum|pred-gt| / (M*D)."""
     gt = np.asarray(gt)
     if pred.shape != gt.shape:
         raise ValueError(f"shape mismatch: pred {pred.shape} vs gt {gt.shape}")
-    if isinstance(pred, Tensor):
-        # a - b is a + (-b) bit for bit, values and gradients alike
-        return ag.mean(ag.abs_(ag.add(pred, Tensor(-gt))))
-    return float(np.abs(pred - gt).mean())
+    # a - b is a + (-b) bit for bit, values and gradients alike
+    return ag.mean(ag.abs_(ag.add(pred, Tensor(-gt))))
 
 
 @dataclass

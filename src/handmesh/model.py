@@ -4,10 +4,9 @@ from dataclasses import dataclass
 
 from .autograd import Tensor
 from .nn import Module
-from .regressor import DecoderConfig, MeshRegressor
+from .regressor import MeshRegressor
 from .rng import substream
-from .synth import INPUT_SHAPE
-from .tokens import SamplerConfig, TokenGenerator, expected_tokens
+from .tokens import TokenGenerator, expected_tokens
 
 
 @dataclass
@@ -17,11 +16,9 @@ class ModelOutput:
 
 
 class HandMeshModel(Module):
-    def __init__(self, sampler_cfg=None, decoder_cfg=None, seed=0):
-        sampler_cfg = sampler_cfg or SamplerConfig()
-        decoder_cfg = decoder_cfg or DecoderConfig()
+    def __init__(self, sampler_cfg, decoder_cfg, seed):
         rng = substream(seed, "model-init")
-        self.tokens = TokenGenerator(sampler_cfg, INPUT_SHAPE[0], rng)
+        self.tokens = TokenGenerator(sampler_cfg, rng)
         self.regressor = MeshRegressor(decoder_cfg, expected_tokens(sampler_cfg),
                                        self.tokens.backbone.out_channels, rng)
 

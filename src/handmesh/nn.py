@@ -142,8 +142,6 @@ class SelfAttention(Module):
     """Standard multi-head self-attention over (B, N, C) token sets."""
 
     def __init__(self, c, heads, rng):
-        if c % heads != 0:
-            raise ValueError(f"channel width {c} not divisible by {heads} heads")
         self.qkv = Affine(c, 3 * c, rng)
         self.proj = Affine(c, c, rng)
         self.heads = heads

@@ -78,8 +78,6 @@ class DecoderLayer(Module):
 
 class MeshRegressor(Module):
     def __init__(self, cfg, n0, c_in, rng):
-        if n0 < 1:
-            raise ValueError(f"input token count must be >= 1, got {n0}")
         self.n0 = n0
         self.c_in = c_in
         self.layers = []

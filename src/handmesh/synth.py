@@ -127,9 +127,7 @@ def _build_mesh():
             radius = r0 + (r1 - r0) * t
             ring = mcp + t * length * d + radius * (np.outer(np.cos(ang), u) + np.outer(np.sin(ang), w))
             verts.append(ring)
-    vertices = np.concatenate(verts, axis=0)
-    assert vertices.shape == (NUM_VERTICES, 3)
-    return vertices
+    return np.concatenate(verts, axis=0)
 
 
 def _segment_distance(points, a, b):
@@ -175,28 +173,11 @@ def _build_weights(vertices, skeleton):
     return W
 
 
-def validate_regression_matrix(J):
-    """Rows must be convex-combination weights: nonnegative, summing to 1."""
-    J = np.asarray(J)
-    if J.ndim != 2:
-        raise ValueError(f"regression matrix must be 2D, got shape {J.shape}")
-    if (J < 0).any():
-        raise ValueError("regression matrix has negative entries")
-    row_sums = J.sum(axis=1)
-    if not np.allclose(row_sums, 1.0, atol=1e-8):
-        raise ValueError(f"regression matrix rows must sum to 1, got {row_sums}")
-    return J
-
-
 def regression_matrix_from_weights(W):
     """J = column-normalized transpose of W: each joint becomes a convex
-    combination of the vertices it skins; rows sum to 1. The loss and the
-    metrics take J from here and do not check it again."""
-    col = W.sum(axis=0)
-    if (col <= 0).any():
-        bad = np.flatnonzero(col <= 0).tolist()
-        raise ValueError(f"joints with zero total skin weight: {bad}")
-    return validate_regression_matrix((W / col).T)
+    combination of the vertices it skins, so rows sum to 1; the assets' W
+    gives every joint some weight."""
+    return (W / W.sum(axis=0)).T
 
 
 def build_assets():
@@ -272,8 +253,6 @@ def skin(assets, pose):
 def project(points, camera):
     """Weak perspective: (u, v) = scale * (x, y) + translation."""
     s, tx, ty = float(camera[0]), float(camera[1]), float(camera[2])
-    if s <= 0:
-        raise ValueError(f"camera scale must be positive, got {s}")
     pts = np.asarray(points, dtype=np.float64)
     return s * pts[..., :2] + np.array([tx, ty])
 
@@ -292,18 +271,16 @@ def fit_camera(V, rng):
     return np.array([s, t[0] + shift[0], t[1] + shift[1]])
 
 
-def render_input(J_2d, V_2d, out=None):
+def render_input(J_2d, V_2d, out):
     """22 channels in [0, 1]: 21 unit-peak Gaussian heatmaps at the 2D
     joints plus one soft silhouette from binned projected vertices. Values
-    are computed in float64, then cast into every element of `out` if given.
+    are computed in float64, then cast into every element of `out` (INPUT_SHAPE).
 
     The silhouette is blurred only over the vertex bins' box widened by the
     filter's reach and clipped to the image: every pixel outside it is zero,
     and the widening keeps the crop's `reflect` border reading zeros, so the
     result is bit for bit that of blurring the whole image.
     """
-    if out is None:
-        out = np.empty(INPUT_SHAPE)
     grid = np.arange(IMAGE_SIZE, dtype=np.float64)
     gx = np.exp(-0.5 * ((grid - J_2d[:, 0:1]) / HEATMAP_SIGMA) ** 2)
     gy = np.exp(-0.5 * ((grid - J_2d[:, 1:2]) / HEATMAP_SIGMA) ** 2)

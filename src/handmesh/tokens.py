@@ -14,7 +14,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .nn import Conv2d, ConvTranspose2d, Module
-from .synth import IMAGE_SIZE, NUM_JOINTS
+from .synth import IMAGE_SIZE, INPUT_SHAPE, NUM_JOINTS
 
 VARIANTS = ("global", "grid", "keypoint", "coarse_mesh")
 # the transposed-conv strides of each upsampling scheme, applied to the backbone's map
@@ -123,8 +123,6 @@ class ToyBackbone(Module):
         self.out_channels = prev
 
     def __call__(self, x):
-        if x.shape[2] % _REDUCTION or x.shape[3] % _REDUCTION:
-            raise ValueError(f"backbone input spatial dims must divide {_REDUCTION}, got {x.shape}")
         for stage in self.stages:
             x = stage(x)
         return x
@@ -158,31 +156,27 @@ def soft_argmax_2d(logits):
     so they always land strictly inside the image.
     """
     b, k, h, w = logits.shape
-    p = ag.softmax(ag.reshape(logits, (b, k, h * w)), axis=-1)
+    p = ag.softmax(ag.reshape(logits, (b, k, h * w)))
     ys, xs = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
     cells = np.stack([xs.reshape(-1), ys.reshape(-1)], axis=-1)
     centers = Tensor(((cells + 0.5) * (IMAGE_SIZE / w) - 0.5).astype(logits.dtype))
     return ag.matmul(p, centers)
 
 
-def sample_tokens(feat, cfg, coords=None):
+def sample_tokens(feat, cfg, coords):
     """Pool, enumerate, or point-sample the feature map into (B, N, C) tokens.
 
     feat: (B, C, Hf, Wf); coords (B, N, 2) in full-image pixels, the one
     point set the keypoint and coarse_mesh variants sample at (the caller
-    picks it). Each map cell spans IMAGE_SIZE / Wf image pixels; the
-    resolution check admits only the feature map of an IMAGE_SIZE input.
+    picks it; global and grid ignore it). Each map cell spans
+    IMAGE_SIZE / Wf image pixels.
     """
     b, c, h, w = feat.shape
-    if h != cfg.target_resolution or w != cfg.target_resolution:
-        raise ValueError(f"feature map {h}x{w} does not match configured resolution {cfg.target_resolution}")
     if cfg.variant == "global":
         tokens = ag.reshape(ag.mean(feat, axis=(2, 3)), (b, 1, c))
     elif cfg.variant == "grid":
         tokens = ag.transpose(ag.reshape(feat, (b, c, h * w)), (0, 2, 1))
     else:
-        if coords is None:
-            raise ValueError(f"{cfg.variant} sampling needs predicted coordinates")
         tokens = ag.bilinear_sample(feat, ag.add(ag.mul(ag.add(coords, 0.5), 1.0 / (IMAGE_SIZE / w)), -0.5))
     if not np.isfinite(tokens.data).all():
         raise FloatingPointError("non-finite token values")
@@ -192,14 +186,14 @@ def sample_tokens(feat, cfg, coords=None):
 class TokenGenerator(Module):
     """Backbone + upsampler + keypoint head(s) + the configured sampler.
 
-    Returns the (B, N, C) tokens and the (B, 21, 2) keypoint coordinates in
-    full-image pixels. The coarse_mesh variant samples at its coarse head's
-    coordinates, every other variant at the keypoints.
+    Takes (B, *synth.INPUT_SHAPE) images; returns the (B, N, C) tokens and
+    the (B, 21, 2) keypoint coordinates in full-image pixels. The coarse_mesh
+    variant samples at its coarse head's coordinates, every other at the keypoints.
     """
 
-    def __init__(self, cfg, c_in, rng):
+    def __init__(self, cfg, rng):
         self.cfg = cfg
-        self.backbone = ToyBackbone(c_in, rng)
+        self.backbone = ToyBackbone(INPUT_SHAPE[0], rng)
         self.upsampler = FeatureUpsampler(cfg.upsample_scheme, self.backbone.out_channels, rng)
         # coordinate heads start at zero: uniform heatmaps keep the
         # soft-argmax mobile while supervision shapes them
@@ -210,6 +204,8 @@ class TokenGenerator(Module):
             self.coarse_head.weight.data[:] = 0.0
 
     def __call__(self, image):
+        if image.shape[1:] != INPUT_SHAPE:
+            raise ValueError(f"token generator takes (B, *{INPUT_SHAPE}) images, got {image.shape}")
         feat = self.upsampler(self.backbone(image))
         kp_coords = soft_argmax_2d(self.kp_head(feat))
         coords = kp_coords

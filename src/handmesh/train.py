@@ -9,6 +9,7 @@ loss raises FloatingPointError, and train() writes nan_dump.json.
 import csv
 import json
 import os
+import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -31,6 +32,7 @@ class RunArtifacts:
     log_csv: str
     initial_loss: float
     final_loss: float
+    steps_per_sec: float  # of the step loop alone: no model build, dataset pass or checkpoint
 
 
 def batch_loss(model, batch, J, weights):
@@ -84,6 +86,7 @@ def train(cfg):
         with open(log_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["step", "L_vert", "L_J3d", "L_J2d", "total", "lr"])
+            t0 = time.perf_counter()
             for step in range(cfg.total_steps):
                 idxs = order.integers(0, len(ds), size=cfg.batch_size)
                 with Tape() as tape:
@@ -97,6 +100,7 @@ def train(cfg):
                 opt.step(lr)
                 writer.writerow([step, repr(bd.L_vert), repr(bd.L_J3d), repr(bd.L_J2d),
                                  repr(bd.total), repr(lr)])
+            loop_secs = time.perf_counter() - t0
         # the optimizer state is dead: free it, so the dataset loss's forwards
         # reuse its memory
         del opt
@@ -109,7 +113,8 @@ def train(cfg):
                        "config": asdict(cfg)}, dh, indent=2)
         raise RuntimeError(f"{err} at step {step}; diagnostics in {path}") from err
     dataio.save_checkpoint(ckpt_path, model.state_dict())
-    return RunArtifacts(checkpoint=ckpt_path, log_csv=log_path, initial_loss=initial, final_loss=final)
+    return RunArtifacts(checkpoint=ckpt_path, log_csv=log_path, initial_loss=initial, final_loss=final,
+                        steps_per_sec=cfg.total_steps / loop_secs if loop_secs > 0 else float("inf"))
 
 
 def load_trained_model(run_dir):

@@ -76,7 +76,7 @@ def attention_composed(qkv, heads):
     qkv = ag.transpose(qkv, (2, 0, 3, 1, 4))  # (3, B, heads, N, dh)
     q, k, v = (getitem(qkv, i) for i in range(3))
     att = ag.matmul(q, ag.transpose(k, (0, 1, 3, 2)))
-    att = ag.softmax(ag.mul(att, 1.0 / np.sqrt(dh)), axis=-1)
+    att = ag.softmax(ag.mul(att, 1.0 / np.sqrt(dh)))
     y = ag.matmul(att, v)  # (B, heads, N, dh)
     return ag.reshape(ag.transpose(y, (0, 2, 1, 3)), (b, n, c))
 

@@ -33,6 +33,12 @@ def softmax_formula(x, axis):
     return e / e.sum(axis=axis, keepdims=True)
 
 
+def zero_bias(w, transposed=False):
+    """The zero bias of a conv2d (or, transposed, conv_transpose2d) weight, in its dtype."""
+    w = w.data if isinstance(w, Tensor) else np.asarray(w)
+    return Tensor(np.zeros(w.shape[1 if transposed else 0], w.dtype))
+
+
 def layer_norm_two_pass(x, gamma, beta, eps):
     mu = x.mean(axis=-1, keepdims=True)
     var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
@@ -203,27 +209,27 @@ class TestMatmul:
 
 class TestSoftmax:
     def test_symmetric_pair(self):
-        y = ag.softmax(Tensor(np.zeros(2)), axis=-1).data
+        y = ag.softmax(Tensor(np.zeros(2))).data
         assert np.allclose(y, [0.5, 0.5], atol=1e-15)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(4)
         v = rng.standard_normal(9)
-        a = ag.softmax(Tensor(v), axis=-1).data
-        b = ag.softmax(Tensor(v + 123.456), axis=-1).data
+        a = ag.softmax(Tensor(v)).data
+        b = ag.softmax(Tensor(v + 123.456)).data
         assert np.abs(a - b).max() < 1e-12
 
     def test_matches_formula_oracle(self):
         rng = np.random.default_rng(5)
         v = rng.standard_normal(16)
-        got = ag.softmax(Tensor(v), axis=-1).data
+        got = ag.softmax(Tensor(v)).data
         want = softmax_formula(v, -1)
         assert np.abs(got - want).max() / np.abs(want).max() < 1e-12
 
     def test_probability_vector(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((5, 7)) * 20
-        y = ag.softmax(Tensor(x), axis=1).data
+        y = ag.softmax(Tensor(x)).data
         assert y.min() >= 0
         assert np.abs(y.sum(axis=1) - 1).max() < 1e-10
 
@@ -231,7 +237,7 @@ class TestSoftmax:
         # the soft-argmax's spatial softmax: 21 keypoint rows over a 28x28
         # map, logits sharp enough that each row is nearly one-hot
         x = 80.0 * np.random.default_rng(9).standard_normal((3, 21, 28 * 28))
-        y = ag.softmax(Tensor(x), axis=-1).data
+        y = ag.softmax(Tensor(x)).data
         assert y.min() >= 0
         assert np.abs(y.sum(axis=-1) - 1).max() < 1e-8
 
@@ -241,7 +247,7 @@ class TestSoftmax:
         c = Tensor(rng.standard_normal((3, 6)))
 
         def fn(x, c):
-            return ag.sum_(ag.mul(ag.softmax(x, axis=-1), c))
+            return ag.sum_(ag.mul(ag.softmax(x), c))
 
         assert fd_gradcheck(fn, [x, c]) < 1e-4
 
@@ -366,7 +372,7 @@ class TestConv2d:
         rng = np.random.default_rng(11)
         x = rng.standard_normal((2, 3, 5, 5))
         w = rng.standard_normal((4, 3, 1, 1))
-        got = ag.conv2d(Tensor(x), Tensor(w)).data
+        got = ag.conv2d(Tensor(x), Tensor(w), zero_bias(w)).data
         want = np.einsum("bchw,oc->bohw", x, w[:, :, 0, 0])
         assert got.shape == (2, 4, 5, 5)
         assert np.abs(got - want).max() < 1e-12
@@ -377,7 +383,7 @@ class TestConv2d:
         x = np.zeros((1, 1, 7, 7))
         x[0, 0, 3, 3] = 1.0
         w = np.arange(9, dtype=np.float64).reshape(1, 1, 3, 3)
-        y = ag.conv2d(Tensor(x), Tensor(w), stride=1, padding=1).data
+        y = ag.conv2d(Tensor(x), Tensor(w), zero_bias(w), stride=1, padding=1).data
         assert np.array_equal(y[0, 0, 2:5, 2:5], w[0, 0, ::-1, ::-1])
 
     @pytest.mark.parametrize(
@@ -399,7 +405,7 @@ class TestConv2d:
 
     def test_bad_geometry_rejected(self):
         with pytest.raises(ValueError):
-            ag.conv2d(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 5, 5))))
+            ag.conv2d(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 5, 5))), Tensor(np.zeros(1)))
 
     def test_gradcheck(self):
         rng = np.random.default_rng(13)
@@ -457,7 +463,7 @@ class TestConv2d:
         assert 4 * hq * wq > ag._FOLD_BLOCK
         wt = Tensor(w, requires_grad=True)
         with Tape() as tape:
-            y = ag.conv2d(Tensor(x), wt, stride=2, padding=1)
+            y = ag.conv2d(Tensor(x), wt, zero_bias(w), stride=2, padding=1)
             tape.backward(ag.sum_(ag.mul(y, Tensor(r))))
         want = conv2d_loops(x, w, None, 2, 1)
         assert np.abs(y.data - want).max() / np.abs(want).max() < 1e-12
@@ -525,7 +531,7 @@ class TestConv2dRelu:
         def weight_grad(i):
             wt = Tensor(w, requires_grad=True)
             with Tape() as tape:
-                y = conv(Tensor(x[i]), wt, stride=2, padding=1)
+                y = conv(Tensor(x[i]), wt, zero_bias(w, transposed), stride=2, padding=1)
                 tape.backward(ag.sum_(ag.mul(y, Tensor(r[i]))))
             return wt.grad
 
@@ -543,7 +549,7 @@ class TestConvPowerOfTwoScaling:
         xt = Tensor(x, requires_grad=True)
         wt = Tensor(w, requires_grad=True)
         with Tape() as tape:
-            y = conv(xt, wt, stride=stride, padding=padding)
+            y = conv(xt, wt, zero_bias(w, conv is ag.conv_transpose2d), stride=stride, padding=padding)
             tape.backward(ag.sum_(ag.mul(y, Tensor(r))))
         return y.data, wt.grad, xt.grad
 
@@ -631,7 +637,8 @@ class TestConvReadsSubnormalsAsZero:
         x, zeroed = self._with_subnormals((1, 1, 6, 6), 45)
         x[0, 0, 2:5, 3] = zeroed[0, 0, 2:5, 3] = [np.nan, np.inf, -np.inf]
         x[0, 0, 5, 5] = zeroed[0, 0, 5, 5] = 3e38
-        y = ag.conv2d(Tensor(x), Tensor(np.ones((1, 1, 1, 1), np.float32)), padding=1).data
+        w = np.ones((1, 1, 1, 1), np.float32)
+        y = ag.conv2d(Tensor(x), Tensor(w), zero_bias(w), padding=1).data
         assert y.dtype == np.float32
         assert np.array_equal(y[0, 0, 1:-1, 1:-1], zeroed[0, 0], equal_nan=True)
 
@@ -657,7 +664,7 @@ class TestConvReadsSubnormalsAsZero:
         for xs in (x, zeroed):
             xt, wt = Tensor(xs, requires_grad=True), Tensor(w, requires_grad=True)
             with Tape() as tape:
-                y = ag.conv2d(xt, wt, stride=2, padding=1)
+                y = ag.conv2d(xt, wt, zero_bias(w), stride=2, padding=1)
                 tape.backward(ag.sum_(ag.mul(y, r)))
             results.append((y.data, wt.grad, xt.grad))
         for name, got, want in zip(("y", "dw", "dx"), *results):
@@ -677,8 +684,8 @@ class TestConvReadsSubnormalsAsZero:
         x = np.zeros((1, 1, 4, 4))
         x[0, 0, 1, 2] = 1e-40  # normal in float64
         w = np.ones((1, 1, 3, 3))
-        y = ag.conv2d(Tensor(x), Tensor(w), padding=1).data
-        y0 = ag.conv2d(Tensor(np.zeros_like(x)), Tensor(w), padding=1).data
+        y = ag.conv2d(Tensor(x), Tensor(w), zero_bias(w), padding=1).data
+        y0 = ag.conv2d(Tensor(np.zeros_like(x)), Tensor(w), zero_bias(w), padding=1).data
         assert not np.array_equal(y, y0)
         assert y.max() == 1e-40
 
@@ -716,13 +723,13 @@ class TestConvTranspose2d:
         rng = np.random.default_rng(14)
         x = Tensor(rng.standard_normal((1, 3, h, h)))
         w = Tensor(rng.standard_normal((3, 2, k, k)))
-        y = ag.conv_transpose2d(x, w, stride=stride, padding=p)
+        y = ag.conv_transpose2d(x, w, zero_bias(w, True), stride=stride, padding=p)
         assert y.shape == (1, 2, expected, expected)
 
     def test_zero_input_zero_output(self):
         rng = np.random.default_rng(15)
         w = Tensor(rng.standard_normal((3, 2, 4, 4)))
-        y = ag.conv_transpose2d(Tensor(np.zeros((1, 3, 5, 5))), w, stride=2, padding=1)
+        y = ag.conv_transpose2d(Tensor(np.zeros((1, 3, 5, 5))), w, zero_bias(w, True), stride=2, padding=1)
         assert np.array_equal(y.data, np.zeros_like(y.data))
 
     @pytest.mark.parametrize("stride,k,p", [(2, 4, 1), (4, 8, 2)])
@@ -741,7 +748,7 @@ class TestConvTranspose2d:
         x = Tensor(np.zeros((1, 2, 4, 4)))
         w = Tensor(np.zeros((2, 2, k, k)))
         with pytest.raises(ValueError):
-            ag.conv_transpose2d(x, w, stride=stride, padding=p)
+            ag.conv_transpose2d(x, w, zero_bias(w, True), stride=stride, padding=p)
 
     @pytest.mark.parametrize("stride,k,p", [(2, 4, 1), (4, 8, 2)])
     def test_adjoint_of_conv2d(self, stride, k, p):
@@ -750,8 +757,8 @@ class TestConvTranspose2d:
         x = rng.standard_normal((2, 3, 3 * stride, 3 * stride))
         w = rng.standard_normal((4, 3, k, k))  # conv layout (Cout, Cin, k, k)
         y = rng.standard_normal((2, 4, 3, 3))
-        cx = ag.conv2d(Tensor(x), Tensor(w), stride=stride, padding=p).data
-        ty = ag.conv_transpose2d(Tensor(y), Tensor(w), stride=stride, padding=p).data
+        cx = ag.conv2d(Tensor(x), Tensor(w), zero_bias(w), stride=stride, padding=p).data
+        ty = ag.conv_transpose2d(Tensor(y), Tensor(w), zero_bias(w, True), stride=stride, padding=p).data
         assert abs(np.vdot(cx, y) - np.vdot(x, ty)) < 1e-10
 
     @pytest.mark.parametrize("stride,k,p", [(2, 4, 1), (4, 8, 2)])
@@ -896,14 +903,14 @@ class TestTape:
         rng = np.random.default_rng(24)
         x = rng.standard_normal((2, 3, 8, 8))
         w = rng.standard_normal((4, 3, 3, 3))
-        a = ag.conv2d(Tensor(x), Tensor(w), stride=2, padding=1).data
-        b = ag.conv2d(Tensor(x), Tensor(w), stride=2, padding=1).data
+        a = ag.conv2d(Tensor(x), Tensor(w), zero_bias(w), stride=2, padding=1).data
+        b = ag.conv2d(Tensor(x), Tensor(w), zero_bias(w), stride=2, padding=1).data
         assert np.array_equal(a, b)
 
     def test_finite_outputs_on_finite_inputs(self):
         rng = np.random.default_rng(25)
         x = Tensor(rng.standard_normal((4, 16)) * 50)
-        y = ag.softmax(x, axis=-1)
+        y = ag.softmax(x)
         z = ag.layer_norm(y, Tensor(np.ones(16)), Tensor(np.zeros(16)))
         assert np.isfinite(z.data).all()
 
@@ -916,7 +923,7 @@ class TestTape:
 
         def fn(x, w):
             h = ag.gelu(ag.matmul(x, w))
-            return ag.sum_(ag.mul(ag.softmax(h, axis=-1), h))
+            return ag.sum_(ag.mul(ag.softmax(h), h))
 
         with Tape() as tape:
             tape.backward(fn(x, w))
@@ -934,7 +941,7 @@ class TestTape:
 PRIMITIVE_CALLS = {
     "add": (ag.add, [("a", (2, 3)), ("b", (2, 3))]),
     "mul": (ag.mul, [("a", (2, 3)), ("b", (2, 3))]),
-    "sum_": (lambda x: ag.sum_(x, axis=1), [("x", (2, 3))]),
+    "sum_": (ag.sum_, [("x", (2, 3))]),
     "mean": (ag.mean, [("x", (2, 3))]),
     "abs_": (ag.abs_, [("x", (2, 3))]),
     "reshape": (lambda x: ag.reshape(x, (3, 2)), [("x", (2, 3))]),
@@ -1008,7 +1015,7 @@ class TestElementwisePrimitives:
 
     @pytest.mark.parametrize(
         "name",
-        ["add", "mul", "relu", "gelu", "mean_axis", "sum_keepdims", "abs",
+        ["add", "mul", "relu", "gelu", "mean_axis", "abs",
          "reshape", "transpose", "getitem"],
     )
     def test_gradcheck_each_primitive(self, name):
@@ -1025,7 +1032,6 @@ class TestElementwisePrimitives:
             "relu": lambda a, b: reduce(relu(ag.add(a, b))),
             "gelu": lambda a, b: reduce(ag.gelu(ag.add(a, b))),
             "mean_axis": lambda a, b: ag.sum_(ag.mean(ag.add(a, b), axis=(0, 2))),
-            "sum_keepdims": lambda a, b: ag.sum_(ag.mul(ag.sum_(a, axis=2, keepdims=True), ag.sum_(b, axis=1, keepdims=True))),
             "abs": lambda a, b: ag.sum_(ag.abs_(ag.add(a, b))),
             "reshape": lambda a, b: reduce(ag.reshape(ag.add(a, b), (3, 20))),
             "transpose": lambda a, b: reduce(ag.transpose(ag.add(a, b), (2, 0, 1))),
@@ -1042,10 +1048,10 @@ class TestElementwisePrimitives:
         wf = Tensor(rng.standard_normal((27, 4)) * 0.3, requires_grad=True)
 
         def fn(x, w, wf):
-            h = ag.conv2d(x, w, stride=2, padding=1, relu=True)
+            h = ag.conv2d(x, w, zero_bias(w), stride=2, padding=1, relu=True)
             h = ag.reshape(h, (1, 27))
             logits = ag.matmul(h, wf)
-            p = ag.softmax(logits, axis=-1)
+            p = ag.softmax(logits)
             return ag.sum_(ag.mul(p, logits))
 
         assert fd_gradcheck(fn, [x, w, wf], rng=rng) < 1e-3

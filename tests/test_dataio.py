@@ -204,12 +204,9 @@ class TestDatasetDirectory:
             with pytest.raises(IndexError):
                 ds.batch([0, bad])
 
-    # value None deletes the field
-    @pytest.mark.parametrize("field, value", [
-        ("count", 0), ("count", 2.5), ("count", "3"), ("count", True), ("count", None),
-        ("seed", None), ("seed", 1.0), ("seed", "7"), ("seed", -1),
-    ])
-    def test_bad_manifest_rejected(self, tmp_path, field, value):
+    @staticmethod
+    def _edited_manifest(tmp_path, field, value):
+        """A dataset's manifest path, its `field` set to `value` (None deletes it)."""
         dataio.generate_dataset(tmp_path / "d", 3, seed=5)
         path = tmp_path / "d" / "manifest.json"
         manifest = json.loads(path.read_text())
@@ -218,8 +215,35 @@ class TestDatasetDirectory:
         else:
             manifest[field] = value
         path.write_text(json.dumps(manifest))
+        return path
+
+    @pytest.mark.parametrize("field, value", [
+        ("count", 0), ("count", 2.5), ("count", "3"), ("count", True), ("count", None),
+        ("seed", None), ("seed", 1.0), ("seed", "7"), ("seed", -1),
+    ])
+    def test_bad_manifest_rejected(self, tmp_path, field, value):
+        path = self._edited_manifest(tmp_path, field, value)
         with pytest.raises(ValueError, match=f"{field} must be an integer") as err:
             dataio.Dataset(tmp_path / "d")
+        assert str(path) in str(err.value)
+
+    # a manifest of another renderer or format: this code would render other samples
+    @pytest.mark.parametrize("field, value", [
+        ("format_version", 2), ("image_size", 256), ("channels", {"heatmaps": 21}),
+        ("units", None), ("renderer", "other"),
+    ])
+    def test_manifest_of_other_samples_rejected(self, tmp_path, field, value):
+        path = self._edited_manifest(tmp_path, field, value)
+        with pytest.raises(ValueError, match="is not the manifest generate_dataset writes") as err:
+            dataio.read_manifest(tmp_path / "d")
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("text", ["[3, 5]", "3", "null"])
+    def test_manifest_that_is_no_json_object_rejected(self, tmp_path, text):
+        path = tmp_path / "manifest.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="count must be an integer") as err:
+            dataio.read_manifest(tmp_path)
         assert str(path) in str(err.value)
 
 

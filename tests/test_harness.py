@@ -6,6 +6,7 @@ import gc
 import json
 import os
 import re
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -196,6 +197,22 @@ class TestTrain:
         assert set(dump) == {"step", "indices", "reason", "config"}
         assert dump["step"] == 1 and dump["indices"] == [0, 1, 2, 3]
 
+    def test_forward_stop_reason_reaches_the_dump(self, small_dataset, tmp_path, monkeypatch):
+        # the vertex check fires in the dataset pass before the first step
+        build = train_module.build_model
+
+        def poisoned(cfg):
+            model = build(cfg)
+            model.regressor.head.bias.data[:] = np.nan
+            return model
+
+        monkeypatch.setattr(train_module, "build_model", poisoned)
+        with pytest.raises(RuntimeError, match="non-finite vertex output at step 0"):
+            train(tiny_config(small_dataset, tmp_path / "run"))
+        dump = json.loads((tmp_path / "run" / "nan_dump.json").read_text())
+        assert dump["reason"] == "non-finite vertex output"
+        assert dump["step"] == 0 and dump["indices"] == list(range(6))
+
     def test_paper_config_step_records_72_tape_nodes(self, small_dataset):
         ds = dataio.Dataset(small_dataset)
         cfg = ExperimentConfig()
@@ -300,11 +317,16 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(model, ds, indices=[])
 
-    @pytest.mark.parametrize("batch_size", [0, -2])
-    def test_nonpositive_batch_size_rejected(self, small_dataset, batch_size):
+    @pytest.mark.parametrize("batch_size", [0, -2, True, 2.5, 1.0])
+    def test_nonpositive_batch_size_rejected(self, small_dataset, batch_size, monkeypatch):
+        # the config loader's rule: an exact integer, so no bool or float either
         ds = dataio.Dataset(small_dataset)
+        model = OracleModel(ds, range(len(ds)))
+        reads = []
+        monkeypatch.setattr(ds, "batch", reads.append)
         with pytest.raises(ValueError, match="batch_size"):
-            evaluate(OracleModel(ds, range(len(ds))), ds, batch_size=batch_size)
+            evaluate(model, ds, batch_size=batch_size)
+        assert reads == []
 
 
 IDENTITY_GRID = {"decoder": [{"m": ["identity"] * 3}]}
@@ -404,8 +426,28 @@ class TestAblate:
         run_ablation(base, IDENTITY_GRID, csv_path, eval_count=1)
         row = read_rows(csv_path)[0]
         cfg = ExperimentConfig.from_dict(json.loads(row["config"]))
-        bench = run_bench(cfg, iters=10, warmup=1)
+        bench = run_bench(cfg, iters=10)
         assert int(row["params_non_backbone"]) == bench["params"]["non_backbone"]
+
+    def test_steps_per_sec_times_only_the_step_loop(self, small_dataset, tmp_path, monkeypatch):
+        # each dataset pass takes 1000 s by the clock; a rate over the whole
+        # train() call would read below 1/2000 steps/s
+        offset = [0.0]
+        clock = time.perf_counter
+        monkeypatch.setattr(time, "perf_counter", lambda: clock() + offset[0])
+        dataset_pass = train_module.dataset_loss
+
+        def slow(*args):
+            offset[0] += 1000.0
+            return dataset_pass(*args)
+
+        monkeypatch.setattr(train_module, "dataset_loss", slow)
+        base = tiny_config(small_dataset, tmp_path / "unused", total_steps=1, batch_size=1)
+        csv_path = str(tmp_path / "abl" / "ablation.csv")
+        run_ablation(base, IDENTITY_GRID, csv_path, eval_count=1)
+        rates = [float(row["steps_per_sec"]) for row in read_rows(csv_path)]
+        assert offset[0] == 6000.0  # two passes per run, three runs
+        assert len(rates) == 3 and min(rates) > 1 / 1000
 
     def test_invalid_cells_skipped_with_reason(self, small_dataset, tmp_path, capsys):
         base = tiny_config(small_dataset, tmp_path / "unused", total_steps=1, batch_size=1)
@@ -589,20 +631,26 @@ class TestAblate:
 class TestBench:
     def test_param_counts_stable_across_runs(self, tmp_path):
         cfg = tiny_config("unused", tmp_path)
-        a = run_bench(cfg, iters=10, warmup=1)
-        b = run_bench(cfg, iters=10, warmup=1)
+        a = run_bench(cfg, iters=10)
+        b = run_bench(cfg, iters=10)
         assert a["params"] == b["params"]
         assert a["params"]["non_backbone"] == 1558794
 
     def test_latency_stats_ordered(self, tmp_path):
         cfg = tiny_config("unused", tmp_path)
-        r = run_bench(cfg, iters=10, warmup=1)
+        r = run_bench(cfg, iters=10)
         lat = r["latency_ms"]
         assert 0 < lat["median"] <= lat["p95"]
 
-    def test_too_few_iterations_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            run_bench(tiny_config("unused", tmp_path), iters=5)
+    def test_too_few_iterations_rejected(self, tmp_path, monkeypatch):
+        # the config loader's rule: an exact integer, so no bool or float
+        # either, refused before the model is built
+        builds = []
+        monkeypatch.setattr(bench, "build_model", builds.append)
+        for iters in (5, 10.5, 10.0, True):
+            with pytest.raises(ValueError, match="integer >= 10"):
+                run_bench(tiny_config("unused", tmp_path), iters=iters)
+        assert builds == []
 
     def test_input_is_the_dataset_batch(self, tmp_path, monkeypatch):
         seen = []
@@ -616,10 +664,11 @@ class TestBench:
 
         monkeypatch.setattr(bench, "build_model", lambda cfg: Probe())
         cfg = tiny_config("unused", tmp_path, seed=13)
-        run_bench(cfg, iters=10, warmup=0, batch_size=3)
-        dataio.generate_dataset(tmp_path / "d", 3, cfg.seed)
-        want = dataio.Dataset(tmp_path / "d").batch(range(3))["input"]
-        assert len(seen) == 10
+        r = run_bench(cfg, iters=10)
+        dataio.generate_dataset(tmp_path / "d", 1, cfg.seed)
+        want = dataio.Dataset(tmp_path / "d").batch(range(1))["input"]
+        assert (r["warmup"], r["batch_size"]) == (5, 1)
+        assert len(seen) == 15
         assert seen[0].dtype == want.dtype and seen[0].tobytes() == want.tobytes()
 
 

@@ -8,7 +8,7 @@ import pytest
 from handmesh.autograd import Tape, Tensor
 from handmesh.losses import LossWeights, joints_from_vertices, l1_mean, total_loss
 from handmesh.rng import substream
-from handmesh.synth import build_assets, regression_matrix_from_weights, validate_regression_matrix
+from handmesh.synth import build_assets
 
 from helpers import fd_gradcheck
 
@@ -22,33 +22,6 @@ def one_hot_regression_matrix(vertex_ids, verts=778):
     J = np.zeros((len(vertex_ids), verts))
     J[np.arange(len(vertex_ids)), vertex_ids] = 1.0
     return J
-
-
-class TestRegressionMatrixValidation:
-    def test_synthetic_assets_matrix_is_valid(self):
-        J = build_assets().J
-        validate_regression_matrix(J)
-        assert J.shape == (21, 778)
-
-    def test_negative_entries_rejected(self):
-        J = random_regression_matrix(substream(0, "J"))
-        J[3, 100] -= 2.0
-        J[3] /= J[3].sum()
-        with pytest.raises(ValueError):
-            validate_regression_matrix(J)
-
-    def test_unnormalized_rows_rejected(self):
-        J = random_regression_matrix(substream(1, "J"))
-        J[5] *= 1.5
-        with pytest.raises(ValueError):
-            validate_regression_matrix(J)
-
-    def test_builder_rejects_a_negative_entry(self):
-        # columns still sum to a positive total, so only the check on J catches it
-        W = build_assets().W.copy()
-        W[0, 0] = -0.01
-        with pytest.raises(ValueError, match="negative"):
-            regression_matrix_from_weights(W)
 
 
 class TestJointsFromVertices:
@@ -99,34 +72,38 @@ class TestJointsFromVertices:
 
 
 class TestL1Mean:
+    @staticmethod
+    def l1(pred, gt):
+        return float(l1_mean(Tensor(pred), gt).data)
+
     def test_identical_inputs_give_zero_exactly(self):
         x = substream(8, "x").normal(size=(21, 3))
-        assert l1_mean(x, x.copy()) == 0.0
+        assert self.l1(x, x.copy()) == 0.0
 
     def test_single_element_delta_over_63(self):
         gt = substream(9, "x").normal(size=(21, 3))
         pred = gt.copy()
         delta = 0.63
         pred[4, 1] += delta
-        assert abs(l1_mean(pred, gt) - delta / 63.0) < 1e-12
+        assert abs(self.l1(pred, gt) - delta / 63.0) < 1e-12
 
     def test_matches_elementwise_oracle(self):
         rng = substream(10, "x")
         a = rng.normal(size=(5, 7, 3))
         b = rng.normal(size=(5, 7, 3))
         want = np.abs(a - b).sum() / a.size
-        assert abs(l1_mean(a, b) - want) / want < 1e-12
+        assert abs(self.l1(a, b) - want) / want < 1e-12
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            l1_mean(np.zeros((21, 3)), np.zeros((21, 2)))
+            self.l1(np.zeros((21, 3)), np.zeros((21, 2)))
 
     def test_nonnegative_and_zero_iff_equal(self):
         rng = substream(11, "x")
         for _ in range(10):
             a = rng.normal(size=(6, 3))
             b = rng.normal(size=(6, 3))
-            v = l1_mean(a, b)
+            v = self.l1(a, b)
             assert v >= 0.0
             assert (v == 0.0) == bool(np.array_equal(a, b))
 
@@ -134,21 +111,15 @@ class TestL1Mean:
         rng = substream(12, "x")
         for _ in range(20):
             a, b, c = (rng.normal(size=(4, 5)) for _ in range(3))
-            assert l1_mean(a, c) <= l1_mean(a, b) + l1_mean(b, c) + 1e-12
+            assert self.l1(a, c) <= self.l1(a, b) + self.l1(b, c) + 1e-12
 
     def test_positive_scaling_homogeneity(self):
         rng = substream(13, "x")
         a = rng.normal(size=(9, 2))
         b = rng.normal(size=(9, 2))
-        base = l1_mean(a, b)
+        base = self.l1(a, b)
         for s in (0.25, 3.0, 117.0):
-            assert abs(l1_mean(s * a, s * b) - s * base) / (s * base) < 1e-12
-
-    def test_tensor_route_matches_float_route(self):
-        rng = substream(14, "x")
-        a = rng.normal(size=(8, 3))
-        b = rng.normal(size=(8, 3))
-        assert abs(float(l1_mean(Tensor(a), b).data) - l1_mean(a, b)) < 1e-14
+            assert abs(self.l1(s * a, s * b) - s * base) / (s * base) < 1e-12
 
 
 class TestLossWeights:

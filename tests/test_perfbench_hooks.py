@@ -16,6 +16,8 @@ from handmesh import autograd as ag
 from handmesh import dataio
 from handmesh.config import ExperimentConfig
 from handmesh.model import HandMeshModel
+from handmesh.regressor import DecoderConfig
+from handmesh.tokens import SamplerConfig
 from handmesh.train import train
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -36,7 +38,7 @@ def test_tracer_installs_and_restores(perfbench):
 
 
 def test_kernel_layers_are_paper_model_modules(perfbench):
-    names = set(perfbench["spans"].module_names(HandMeshModel()).values())
+    names = set(perfbench["spans"].module_names(HandMeshModel(SamplerConfig(), DecoderConfig(), seed=0)).values())
     missing = sorted(set(perfbench["kernels"].LAYERS.values()) - names)
     assert not missing
 
@@ -44,7 +46,7 @@ def test_kernel_layers_are_paper_model_modules(perfbench):
 def test_taped_step_records_every_kernel_layer(perfbench):
     # the kernel table replays the conv calls recorded at Conv2d.__call__ and
     # ConvTranspose2d.__call__; a layer run past them would report zeros
-    model = HandMeshModel()
+    model = HandMeshModel(SamplerConfig(), DecoderConfig(), seed=0)
     x = ag.Tensor(np.random.default_rng(0).random((1, 22, 224, 224), dtype=np.float32))
     tracer = perfbench["spans"].Tracer()
     with tracer.installed(), tracer.region("op", op=0):

@@ -16,6 +16,7 @@ from handmesh.model import HandMeshModel
 from handmesh.nn import MetaformerBlock, SelfAttention
 from handmesh.regressor import DecoderConfig, DecoderLayer, MeshRegressor
 from handmesh.rng import substream
+from handmesh.tokens import SamplerConfig
 
 from helpers import fd_gradcheck
 
@@ -201,8 +202,9 @@ class TestMetaformerBlock:
         assert np.abs(got - want).max() / np.abs(want).max() < 1e-10
 
     def test_attention_rejects_indivisible_heads(self):
+        attn = SelfAttention(6, 4, substream(22, "attn"))
         with pytest.raises(ValueError):
-            SelfAttention(6, 4, substream(22, "attn"))
+            attn(Tensor(np.zeros((1, 2, 6), dtype=np.float32)))
 
     def test_attention_block_is_permutation_equivariant(self):
         block = MetaformerBlock(8, "attn", 2, substream(23, "blk")).astype(np.float64)
@@ -247,13 +249,21 @@ class TestMeshRegressor:
         out = reg(Tensor(np.zeros((1, 21, 64))))
         assert np.all(out.data == 0.0)
 
+    def test_nonfinite_vertices_stop_the_forward(self):
+        reg = MeshRegressor(DecoderConfig(), 21, 64, substream(38, "reg"))
+        reg.head.bias.data[:] = np.nan
+        with pytest.raises(FloatingPointError, match="^non-finite vertex output$"):
+            reg(Tensor(np.zeros((1, 21, 64), dtype=np.float32)))
+
     def test_nan_guard_survives_optimized_mode(self):
         # `python -O` strips assert statements; the non-finite check must still raise
         script = (
             "import numpy as np\n"
             "from handmesh.autograd import Tensor\n"
             "from handmesh.model import HandMeshModel\n"
-            "model = HandMeshModel()\n"
+            "from handmesh.regressor import DecoderConfig\n"
+            "from handmesh.tokens import SamplerConfig\n"
+            "model = HandMeshModel(SamplerConfig(), DecoderConfig(), seed=0)\n"
             "model.regressor.head.weight.data[...] = np.nan\n"
             "try:\n"
             "    model(Tensor(np.zeros((1, 22, 224, 224), dtype=np.float32)))\n"
@@ -271,7 +281,7 @@ class TestMeshRegressor:
     def test_sample_layout_comes_from_synth(self):
         assert regressor.NUM_VERTICES is synth.NUM_VERTICES
         assert DecoderConfig().d[-1] == synth.NUM_VERTICES
-        stem = HandMeshModel().tokens.backbone.stages[0].weight
+        stem = HandMeshModel(SamplerConfig(), DecoderConfig(), seed=0).tokens.backbone.stages[0].weight
         assert stem.shape[1] == synth.INPUT_SHAPE[0]
         with pytest.raises(ValueError, match="expected one of \\('attn', 'identity'\\)"):
             MetaformerBlock(8, "conv", 2, substream(37, "block"))

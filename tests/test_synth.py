@@ -100,6 +100,8 @@ class TestBuildTemplate:
 
 class TestRegressionMatrix:
     def test_rows_sum_to_one(self, assets):
+        # every joint skins some vertex, so each column of W normalizes
+        assert (assets.W.sum(axis=0) > 0).all()
         assert np.abs(assets.J.sum(axis=1) - 1.0).max() < 1e-8
         assert (assets.J >= 0).all()
 
@@ -114,12 +116,6 @@ class TestRegressionMatrix:
         for j in range(21):
             src = int(np.flatnonzero(perm == j)[0])
             assert np.array_equal(est[j], V[src])
-
-    def test_zero_weight_joint_rejected(self):
-        W = np.zeros((10, 21))
-        W[:, 0] = 1.0  # every other joint unused
-        with pytest.raises(ValueError):
-            synth.regression_matrix_from_weights(W)
 
     def test_identity_pose_joints_within_frozen_bound(self, assets):
         est = assets.J @ assets.vertices
@@ -215,10 +211,6 @@ class TestProject:
         want = np.stack([1.7 * pts[:, 0] + 90.0, 1.7 * pts[:, 1] + 130.0], axis=1)
         assert np.abs(got - want).max() / np.abs(want).max() < 1e-12
 
-    def test_nonpositive_scale_rejected(self):
-        with pytest.raises(ValueError):
-            synth.project(np.zeros((1, 3)), np.array([0.0, 0.0, 0.0]))
-
 
 class TestRenderInput:
     def test_peak_at_nearest_pixel(self, assets):
@@ -247,7 +239,7 @@ class TestRenderInput:
             s = synth.generate_sample(assets, seed)
             V_2d = synth.project(s.V_3d, s.camera)
             want = render_input_loop(s.J_2d, V_2d)
-            got = synth.render_input(s.J_2d, V_2d)
+            got = synth.render_input(s.J_2d, V_2d, np.empty(synth.INPUT_SHAPE))
             assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
             # the sample holds the same render, cast once to float32
             assert s.input.tobytes() == want.astype("<f4").tobytes()
@@ -275,7 +267,7 @@ class TestRenderInput:
         J_2d = rng.uniform(0, synth.IMAGE_SIZE - 1, (synth.NUM_JOINTS, 2))
         want = render_input_loop(J_2d, V_2d)
         assert want[synth.NUM_JOINTS].max() == 1.0
-        assert synth.render_input(J_2d, V_2d).tobytes() == want.tobytes()
+        assert synth.render_input(J_2d, V_2d, np.empty(synth.INPUT_SHAPE)).tobytes() == want.tobytes()
         out = np.full((synth.NUM_JOINTS + 1, synth.IMAGE_SIZE, synth.IMAGE_SIZE), np.nan, np.float32)
         synth.render_input(J_2d, V_2d, out=out)
         assert out.tobytes() == want.astype("<f4").tobytes()

@@ -24,7 +24,6 @@ stay normal (see _pow2).
 """
 
 import numpy as np
-from scipy.special import erf
 
 _ACTIVE_TAPE = None
 
@@ -33,6 +32,24 @@ _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 # fold elements _folds flushes and reduces per step (256 KiB of float32 scratch)
 _FOLD_BLOCK = 1 << 16
 _LN_EPS = 1e-5  # layer_norm's variance floor
+
+# Cephes ndtr.c's rationals, as scipy.special.erf evaluates them, highest power
+# first (U and Q are monic): erf(x) = x T(x^2) / U(x^2) for |x| < 1, and
+# erfc(x) = exp(-x^2) P(x) / Q(x) for 1 <= x < 8. Both give the same double at
+# |x| = 1; past 8, 1 - erfc(x) rounds to 1 in float64, so |x| is clamped there.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_CLAMP = 8.0
+# elements erf evaluates per float64 pass (128 KiB per temporary)
+_ERF_BLOCK = 1 << 14
 
 
 class Tensor:
@@ -251,7 +268,48 @@ def cast(x, dtype):
     return _node(x.data.astype(dtype), backward_fn, x)
 
 
+def _polevl(x, coeffs, out):
+    """coeffs[0] x^n + ... + coeffs[n] into out, by Horner's rule in Cephes' order."""
+    np.multiply(x, coeffs[0], out=out)
+    for c in coeffs[1:-1]:
+        out += c
+        out *= x
+    out += coeffs[-1]
+    return out
+
+
+def erf(x):
+    """The error function of a float array, as scipy.special.erf computes it.
+
+    Evaluated in float64 over blocks of at most _ERF_BLOCK elements and
+    rounded to x's dtype, as scipy's float32 loop does. Every element takes
+    the |x| < 1 rational on x clipped to [-1, 1], so no input overflows it;
+    those with |x| >= 1 then take 1 - erfc(|x|), signed like x. NaN stays NaN.
+    """
+    out = np.empty_like(x)
+    src, dst = x.reshape(-1), out.reshape(-1)
+    scratch = np.empty((4, min(src.size, _ERF_BLOCK)))
+    for i in range(0, src.size, _ERF_BLOCK):
+        v = src[i:i + _ERF_BLOCK]
+        s, z, y, den = scratch[:, :v.size]
+        np.clip(v, -1.0, 1.0, out=s)
+        np.multiply(s, s, out=z)
+        _polevl(z, _ERF_T, y)
+        y *= s
+        y /= _polevl(z, _ERF_U, den)
+        big = np.flatnonzero(z == 1.0)  # the clip leaves z == 1 exactly where |v| >= 1
+        if big.size:
+            w = v[big].astype(np.float64)
+            a = np.minimum(np.abs(w), _ERFC_CLAMP)
+            erfc = np.exp(-a * a) * _polevl(a, _ERFC_P, np.empty_like(a))
+            erfc /= _polevl(a, _ERFC_Q, np.empty_like(a))
+            y[big] = np.copysign(1.0 - erfc, w)
+        dst[i:i + v.size] = y
+    return out
+
+
 def gelu(x):
+    """x * Phi(x), Phi the standard normal CDF through `erf`."""
     phi = 0.5 * (1.0 + erf(x.data * x.dtype.type(_INV_SQRT2)))
 
     def backward_fn(g):

@@ -10,7 +10,6 @@ point set (joints for PA-MPJPE, vertices for PA-MPVPE and the F-scores).
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 METRIC_COLUMNS = ("mpjpe_mm", "mpvpe_mm", "pa_mpjpe_mm", "pa_mpvpe_mm", "f_at_05", "f_at_15")
 
@@ -73,7 +72,13 @@ def pa_metric(P, G):
 
 
 def _nn_distances(aligned, G):
-    """Nearest-neighbor distances from each aligned point to G, and from each G point back."""
+    """Nearest-neighbor distances from each aligned point to G, and from each G point back.
+
+    scipy is imported here, on the first F-score, so that training, inference
+    and rendering never load it.
+    """
+    from scipy.spatial import cKDTree
+
     return cKDTree(G).query(aligned)[0], cKDTree(aligned).query(G)[0]
 
 

@@ -14,7 +14,6 @@ All 3D units are millimeters; images are 224x224 pixels.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .rng import substream
 
@@ -26,6 +25,9 @@ INPUT_SHAPE = (NUM_JOINTS + 1, IMAGE_SIZE, IMAGE_SIZE)  # 21 keypoint heatmaps +
 
 _BLUR_SIGMA = 3.0  # silhouette blur
 _BLUR_REACH = int(4.0 * _BLUR_SIGMA + 0.5)  # gaussian_filter's radius at its default truncate=4.0
+# scipy.ndimage's _gaussian_kernel1d(_BLUR_SIGMA, 0, _BLUR_REACH), reversed as gaussian_filter1d reverses it
+_BLUR_TAPS = np.exp(-0.5 / (_BLUR_SIGMA * _BLUR_SIGMA) * np.arange(-_BLUR_REACH, _BLUR_REACH + 1) ** 2)
+_BLUR_WEIGHTS = (_BLUR_TAPS / _BLUR_TAPS.sum())[::-1]
 
 _PALM_VERTS = 298
 _RINGS_PER_FINGER = 8
@@ -271,15 +273,49 @@ def fit_camera(V, rng):
     return np.array([s, t[0] + shift[0], t[1] + shift[1]])
 
 
+def gaussian_blur(counts):
+    """scipy.ndimage.gaussian_filter(counts, sigma=_BLUR_SIGMA) of a 2-D float64
+    array whose sides exceed _BLUR_REACH, bit for bit, in numpy.
+
+    scipy filters axis 0, then axis 1, each with its "reflect" border
+    (d c b a | a b c d | d c b a, numpy's "symmetric"). Here the image is
+    padded on both axes at once and axis 0 runs over every padded column:
+    a border column holds the same values as the column it mirrors, so the
+    rows come out already padded for axis 1. Each pass reads its input flat,
+    where a shift by k along the axis is a shift by k * step, so every sum
+    runs over one contiguous span; along axis 1 the span crosses the row
+    ends, and those sums land in the border columns that are dropped. Each
+    output is x * w0, then += (left + right) * w_j from the outermost pair
+    inwards, the order in which scipy sums a symmetric kernel.
+    """
+    r = _BLUR_REACH
+    h, w = counts.shape
+    wide = w + 2 * r
+    pad = np.pad(counts, r, mode="symmetric").reshape(-1)
+    rows, tmp = np.empty(h * wide), np.empty(h * wide)
+    for src, dst, step in ((pad, rows, wide), (rows, pad, 1)):
+        n = src.size - 2 * r * step
+        acc, part = dst[:n], tmp[:n]
+        np.multiply(src[r * step:r * step + n], _BLUR_WEIGHTS[r], out=acc)
+        for j in range(r):
+            left, right = j * step, (2 * r - j) * step
+            np.add(src[left:left + n], src[right:right + n], out=part)
+            part *= _BLUR_WEIGHTS[j]
+            acc += part
+    return pad[:h * wide].reshape(h, wide)[:, :w]
+
+
 def render_input(J_2d, V_2d, out):
     """22 channels in [0, 1]: 21 unit-peak Gaussian heatmaps at the 2D
     joints plus one soft silhouette from binned projected vertices. Values
     are computed in float64, then cast into every element of `out` (INPUT_SHAPE).
 
-    The silhouette is blurred only over the vertex bins' box widened by the
-    filter's reach and clipped to the image: every pixel outside it is zero,
-    and the widening keeps the crop's `reflect` border reading zeros, so the
-    result is bit for bit that of blurring the whole image.
+    The silhouette is `gaussian_blur`, scipy's `gaussian_filter` with
+    sigma 3 in numpy, over only the vertex bins' box widened by the filter's
+    reach and clipped to the image: every pixel outside it is zero, and the
+    widening keeps the crop's `reflect` border reading zeros, so the result
+    is bit for bit that of blurring the whole image. The crop is at least
+    13 pixels (the reach plus one) on each side.
     """
     grid = np.arange(IMAGE_SIZE, dtype=np.float64)
     gx = np.exp(-0.5 * ((grid - J_2d[:, 0:1]) / HEATMAP_SIGMA) ** 2)
@@ -293,7 +329,7 @@ def render_input(J_2d, V_2d, out):
         x0, x1 = max(ix.min() - _BLUR_REACH, 0), min(ix.max() + _BLUR_REACH + 1, IMAGE_SIZE)
         counts = np.zeros((y1 - y0, x1 - x0))
         np.add.at(counts, (iy - y0, ix - x0), 1.0)
-        blur = gaussian_filter(counts, sigma=_BLUR_SIGMA)
+        blur = gaussian_blur(counts)
         out[NUM_JOINTS, y0:y1, x0:x1] = blur / blur.max()
     return out
 

@@ -106,15 +106,16 @@ def _add_bilinear_passthrough(tconv, stride):
 
 
 class ToyBackbone(Module):
-    """Five stride-2 4x4 conv+ReLU stages: (B,Cin,224,224) -> (B,64,7,7).
+    """Five stride-2 4x4 conv+ReLU stages on the INPUT_SHAPE[0] = 22 rendered
+    channels: (B,22,224,224) -> (B,64,7,7).
 
     Kernel 4 with padding 1 keeps each stage's sampling lattice on the
     half-pixel alignment the coordinate mapping assumes.
     """
 
-    def __init__(self, c_in, rng):
+    def __init__(self, rng):
         self.stages = []
-        prev = c_in
+        prev = INPUT_SHAPE[0]
         for w in BACKBONE_WIDTHS:
             stage = Conv2d(prev, w, 4, rng, stride=2, padding=1, relu=True)
             _add_smoothing_passthrough(stage)
@@ -193,7 +194,7 @@ class TokenGenerator(Module):
 
     def __init__(self, cfg, rng):
         self.cfg = cfg
-        self.backbone = ToyBackbone(INPUT_SHAPE[0], rng)
+        self.backbone = ToyBackbone(rng)
         self.upsampler = FeatureUpsampler(cfg.upsample_scheme, self.backbone.out_channels, rng)
         # coordinate heads start at zero: uniform heatmaps keep the
         # soft-argmax mobile while supervision shapes them

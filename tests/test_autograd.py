@@ -1,5 +1,7 @@
 """Numeric core: forward oracles and finite-difference gradient checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -979,6 +981,40 @@ class TestRecordingRule:
             out = fn(*inputs)
         assert out.requires_grad
         assert len(tape) == 1 and tape._nodes[0][0] is out
+
+
+class TestErf:
+    """ag.erf, which gelu is built on, against scipy.special.erf."""
+
+    def test_float32_equals_scipy_over_the_clamp_range(self):
+        from scipy.special import erf
+        x = np.concatenate([np.linspace(-8.0, 8.0, 1 << 20, dtype=np.float32),
+                            np.random.default_rng(28).standard_normal(1 << 18).astype(np.float32)])
+        got = ag.erf(x)
+        assert got.dtype == np.float32
+        assert got.tobytes() == erf(x).tobytes()
+
+    def test_float64_within_one_ulp_of_scipy(self):
+        # np.exp, not the C library's exp, so a few values differ by one ulp
+        from scipy.special import erf
+        x = np.concatenate([np.linspace(-8.0, 8.0, 1 << 20),
+                            np.random.default_rng(29).uniform(-9.0, 9.0, 1 << 18)])
+        assert np.abs(ag.erf(x) - erf(x)).max() <= 2.2e-16
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_edge_inputs_match_scipy_without_warnings(self, dtype):
+        from scipy.special import erf
+        tiny, f32max = np.finfo(dtype).smallest_subnormal, np.finfo(np.float32).max
+        x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e30, -1e30, f32max, -f32max,
+                      tiny, -tiny, 3 * tiny, 1.0, -1.0, 8.0, -8.0], dtype=dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ag.erf(x)
+        want = erf(x)
+        assert got.dtype == dtype
+        assert np.array_equal(got, want, equal_nan=True)
+        number = ~np.isnan(want)
+        assert np.array_equal(np.signbit(got[number]), np.signbit(want[number]))  # erf(-0) is -0
 
 
 class TestElementwisePrimitives:

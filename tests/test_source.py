@@ -1,9 +1,11 @@
 """Source lint: src states its run-time checks as raises, never as asserts,
-autograd states its tape-recording rule in one function, and train()
-stops a run through one handler."""
+autograd states its tape-recording rule in one function, train() stops a
+run through one handler, and only the F-scores load scipy."""
 
 import ast
 import os
+import subprocess
+import sys
 
 import handmesh
 
@@ -69,3 +71,32 @@ def test_train_stops_through_one_handler():
     called = [node.func.id for stmt in tries[0].body for node in ast.walk(stmt)
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
     assert called.count("dataset_loss") == 2 and called.count("batch_loss") == 1
+
+
+def test_only_the_f_scores_load_scipy(tmp_path):
+    # importing scipy.special or scipy.ndimage costs a process about 26 MB
+    # resident, and scipy.spatial another 12 MB; rendering, inference and
+    # training run without any of it
+    script = (
+        "import sys\n"
+        "from handmesh import cli, dataio, metrics\n"
+        "from handmesh.autograd import Tape, Tensor\n"
+        "from handmesh.config import ExperimentConfig\n"
+        "from handmesh.losses import LossWeights\n"
+        "from handmesh.train import batch_loss, build_model\n"
+        f"dataio.generate_dataset({str(tmp_path)!r}, 2, 0)\n"
+        f"ds = dataio.Dataset({str(tmp_path)!r})\n"
+        "batch = ds.batch([0, 1])\n"
+        "model = build_model(ExperimentConfig(seed=0))\n"
+        "out = model(Tensor(batch['input'][:1]))\n"
+        "with Tape() as tape:\n"
+        "    tape.backward(batch_loss(model, batch, ds.assets.J, LossWeights()).total_node)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "pred, gt = out.vertices.data[0], batch['V_3d'][0]\n"
+        "metrics.compute_report(pred, gt, ds.assets.J @ pred, ds.assets.J @ gt)\n"
+        "print('scipy.spatial' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(SRC))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    assert done.stdout.split("\n")[:2] == ["[]", "True"]

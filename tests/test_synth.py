@@ -280,6 +280,37 @@ class TestRenderInput:
         assert out.tobytes() == render_input_loop(J_2d, V_2d).tobytes()
 
 
+class TestGaussianBlur:
+    """synth.gaussian_blur, the silhouette blur, against scipy.ndimage."""
+
+    def test_matches_scipy_on_random_counts(self):
+        from scipy.ndimage import gaussian_filter
+        rng = np.random.default_rng(71)
+        for _ in range(300):
+            # 13 is the narrowest crop render_input blurs: one bin plus the reach
+            h, w = rng.integers(13, 121, size=2)
+            counts = np.zeros((h, w))
+            n = rng.integers(1, 800)
+            np.add.at(counts, (rng.integers(0, h, n), rng.integers(0, w, n)), 1.0)
+            got = synth.gaussian_blur(counts)
+            assert got.shape == (h, w)
+            assert got.tobytes() == gaussian_filter(counts, sigma=3.0).tobytes()
+
+    @pytest.mark.parametrize("shape, bins", [
+        ((25, 25), [(12, 12)]),
+        ((13, 13), [(0, 0)]),
+        ((13, 25), [(12, 24)]),
+        ((13, 120), [(0, 0), (12, 119), (0, 119), (12, 0)]),
+        ((120, 13), [(0, 6), (119, 6), (60, 0), (60, 12)]),
+    ], ids=["one-bin", "corner-bin", "far-corner-bin", "wide-corners", "tall-edges"])
+    def test_single_and_edge_bins_match_scipy(self, shape, bins):
+        from scipy.ndimage import gaussian_filter
+        counts = np.zeros(shape)
+        for iy, ix in bins:
+            counts[iy, ix] += 1.0
+        assert synth.gaussian_blur(counts).tobytes() == gaussian_filter(counts, sigma=3.0).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # full samples
 # ---------------------------------------------------------------------------

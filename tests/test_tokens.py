@@ -106,25 +106,25 @@ class TestSamplerConfig:
 
 class TestToyBackbone:
     def test_spatial_reduction_224_to_7(self):
-        bb = ToyBackbone(22, substream(0, "bb"))
-        out = bb(Tensor(np.zeros((1, 22, 224, 224), dtype=np.float32)))
+        bb = ToyBackbone(substream(0, "bb"))
+        out = bb(Tensor(np.zeros((1, *INPUT_SHAPE), dtype=np.float32)))
         assert out.shape == (1, 64, 7, 7)
 
     def test_zero_input_zero_biases_gives_zero(self):
-        bb = ToyBackbone(3, substream(1, "bb"))
-        out = bb(Tensor(np.zeros((2, 3, 64, 64), dtype=np.float32)))
+        bb = ToyBackbone(substream(1, "bb"))
+        out = bb(Tensor(np.zeros((2, INPUT_SHAPE[0], 64, 64), dtype=np.float32)))
         assert np.all(out.data == 0.0)
 
     def test_taped_forward_records_one_node_per_stage(self):
         # each stage is one conv+bias+ReLU node
-        bb = ToyBackbone(3, substream(4, "bb"))
+        bb = ToyBackbone(substream(4, "bb"))
         with Tape() as tape:
-            bb(Tensor(np.ones((1, 3, 32, 32), dtype=np.float32)))
+            bb(Tensor(np.ones((1, INPUT_SHAPE[0], 32, 32), dtype=np.float32)))
         assert len(tape) == 5
 
     def test_weight_gradients_finite_difference(self):
-        bb = ToyBackbone(2, substream(2, "bb")).astype(np.float64)
-        x = substream(3, "x").normal(size=(1, 2, 32, 32))
+        bb = ToyBackbone(substream(2, "bb")).astype(np.float64)
+        x = substream(3, "x").normal(size=(1, INPUT_SHAPE[0], 32, 32))
 
         def fn(*_):
             return ag.sum_(bb(Tensor(x)))

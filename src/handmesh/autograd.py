@@ -6,7 +6,9 @@ transposed conv2d and bilinear point sampling. Forward math is plain
 numpy; each primitive defines a backward closure and returns its output
 through _node, the one place that decides whether the output requires a
 gradient and records the closure on the active Tape. Tape.backward replays
-the record in reverse execution order.
+the record in reverse execution order and consumes it: each node, with the
+arrays its closure saved, is dropped as soon as it has run, so a backward
+holds only what its remaining nodes need.
 
 Outside a `with Tape():` block nothing is recorded, which doubles as
 inference mode.
@@ -86,11 +88,13 @@ class Tape:
     """Execution-ordered computation record for one forward pass.
 
     While active, _node appends (output, backward_fn) for each primitive
-    call with an input that requires a gradient. backward(loss) seeds
-    d(loss)/d(loss) = 1 and walks the record in reverse, so replay order
-    is deterministic. Each output's gradient is dropped once its
-    backward_fn has consumed it; leaves, which are never recorded outputs,
-    keep theirs.
+    call with an input that requires a gradient, and len(tape) counts the
+    recorded nodes not yet replayed. backward(loss) seeds
+    d(loss)/d(loss) = 1 and pops the record from its end, so replay order
+    is deterministic and the tape is empty afterwards. Each node's closure,
+    the tape's reference to its output and that output's gradient are
+    dropped once its backward_fn has run; leaves, which are never recorded
+    outputs, keep their gradients.
     """
 
     def __init__(self):
@@ -116,7 +120,8 @@ class Tape:
         if loss.size != 1:
             raise ValueError(f"backward expects a scalar loss, got shape {loss.shape}")
         loss.grad = np.ones_like(loss.data)
-        for out, backward_fn in reversed(self._nodes):
+        while self._nodes:
+            out, backward_fn = self._nodes.pop()
             if out.grad is None:
                 continue
             backward_fn(out.grad)
@@ -331,16 +336,29 @@ def softmax(x):
     return _node(y, backward_fn, x)
 
 
+def _attention_probs(q, k, scale, p):
+    """Write softmax(q k^T * scale) over rows into the (N, N) block p.
+
+    attention's forward and backward both call this, so the backward's
+    recomputed probabilities carry the forward's bits.
+    """
+    np.matmul(q, k.T, out=p)
+    p *= scale
+    p -= p.max(axis=1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=1, keepdims=True)
+    return p
+
+
 def attention(qkv, heads):
     """Multi-head softmax(q k^T / sqrt(dh)) v: qkv (B, N, 3C) -> (B, N, C).
 
     The last axis of qkv holds q, k and v side by side, each split into
     `heads` blocks of dh = C / heads channels. Each (sample, head) runs on
-    strided views of qkv: q k^T goes into one (N, N) block, which is
-    scaled, max-shifted, exponentiated and normalised in place, so no
-    (B, heads, N, N) temporary is ever made. Under a Tape the blocks are
-    kept as the probabilities P for backward; without one a single
-    (N, N) scratch block is reused.
+    strided views of qkv: its probabilities P are written into one (N, N)
+    scratch block by _attention_probs, so no (B, heads, N, N) array is ever
+    made. The tape keeps no probabilities: backward recomputes each block
+    from q and k, as FlashAttention's backward does (Dao et al., 2022).
     """
     if qkv.ndim != 3:
         raise ValueError(f"attention expects (B, N, 3C) input, got {qkv.shape}")
@@ -351,24 +369,17 @@ def attention(qkv, heads):
     dh = c // heads
     scale = qkv.dtype.type(1.0 / np.sqrt(dh))
     x = qkv.data.reshape(bsz, n, 3, heads, dh)
-    requires_grad = _wants_grad(qkv)
-    probs = np.empty((bsz, heads, n, n), x.dtype) if requires_grad else None
-    scratch = None if requires_grad else np.empty((n, n), x.dtype)
+    p = np.empty((n, n), x.dtype)
     y = np.empty((bsz, n, heads, dh), x.dtype)
     for bi in range(bsz):
         for hi in range(heads):
             q, k, v = x[bi, :, :, hi].transpose(1, 0, 2)
-            p = probs[bi, hi] if requires_grad else scratch
-            np.matmul(q, k.T, out=p)
-            p *= scale
-            p -= p.max(axis=1, keepdims=True)
-            np.exp(p, out=p)
-            p /= p.sum(axis=1, keepdims=True)
-            np.matmul(p, v, out=y[bi, :, hi])
+            np.matmul(_attention_probs(q, k, scale, p), v, out=y[bi, :, hi])
 
     def backward_fn(g):
         g = g.reshape(bsz, n, heads, dh)
         gx = np.empty_like(x)
+        p = np.empty((n, n), x.dtype)
         dp = np.empty((n, n), x.dtype)
         # rowsum(P * dP) = rowsum(dy * y), an (N, dh) product in place of an (N, N) one
         rowsum = (g * y).sum(axis=-1)
@@ -377,7 +388,7 @@ def attention(qkv, heads):
                 q, k, v = x[bi, :, :, hi].transpose(1, 0, 2)
                 gq, gk, gv = gx[bi, :, :, hi].transpose(1, 0, 2)
                 gy = g[bi, :, hi]
-                p = probs[bi, hi]
+                _attention_probs(q, k, scale, p)
                 np.matmul(p.T, gy, out=gv)
                 np.matmul(gy, v.T, out=dp)
                 dp -= rowsum[bi, :, hi, None]

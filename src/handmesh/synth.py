@@ -330,7 +330,7 @@ def render_input(J_2d, V_2d, out):
         counts = np.zeros((y1 - y0, x1 - x0))
         np.add.at(counts, (iy - y0, ix - x0), 1.0)
         blur = gaussian_blur(counts)
-        out[NUM_JOINTS, y0:y1, x0:x1] = blur / blur.max()
+        np.divide(blur, blur.max(), out=out[NUM_JOINTS, y0:y1, x0:x1])
     return out
 
 

@@ -92,10 +92,6 @@ def train(cfg):
                 with Tape() as tape:
                     bd = batch_loss(model, ds.batch(idxs), ds.assets.J, cfg.loss_weights)
                     tape.backward(bd.total_node)
-                # the tape holds the input batch, the activations, their
-                # gradients and the attention probabilities; free them before
-                # the optimizer step and the next batch read
-                del tape
                 lr = lr_at_step(cfg.lr, step, cfg.total_steps)
                 opt.step(lr)
                 writer.writerow([step, repr(bd.L_vert), repr(bd.L_J3d), repr(bd.L_J2d),

@@ -186,8 +186,10 @@ class TestMatmul:
             a, b, c = (Tensor(x.copy(), requires_grad=True) for x in arrays)
             with Tape() as tape:
                 y = ag.matmul(a, b, bias=c) if fused else ag.add(ag.matmul(a, b), c)
-                tape.backward(ag.sum_(ag.mul(y, w)))
-            return [y.data, a.grad, b.grad, c.grad], len(tape)
+                loss = ag.sum_(ag.mul(y, w))
+                nodes = len(tape)
+                tape.backward(loss)
+            return [y.data, a.grad, b.grad, c.grad], nodes
 
         fused, n_fused = run(True)
         separate, n_separate = run(False)
@@ -312,6 +314,30 @@ class TestAttention:
         finally:
             tracemalloc.stop()
         assert peak < b * heads * n * n * 4
+
+    def test_taped_forward_keeps_no_probabilities(self):
+        # backward recomputes each (N, N) probability block from q and k,
+        # so the tape holds less than half of one (B, heads, N, N) array
+        import tracemalloc
+
+        b, n, c, heads = 2, 128, 8, 2
+        rng = np.random.default_rng(51)
+        qkv0 = rng.standard_normal((b, n, 3 * c)).astype(np.float32)
+        g = Tensor(rng.standard_normal((b, n, c)).astype(np.float32))
+        qkv = Tensor(qkv0.copy(), requires_grad=True)
+        with Tape() as tape:
+            tracemalloc.start()
+            try:
+                y = ag.attention(qkv, heads)
+                retained = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            tape.backward(ag.sum_(ag.mul(y, g)))
+        assert retained < b * heads * n * n * 4 / 2
+        ref = Tensor(qkv0.copy(), requires_grad=True)
+        with Tape() as tape:
+            tape.backward(ag.sum_(ag.mul(attention_composed(ref, heads), g)))
+        assert np.abs(qkv.grad - ref.grad).max() < 1e-6 * np.abs(ref.grad).max()
 
     def test_taped_self_attention_records_three_nodes(self):
         # qkv matmul with its bias, one attention node, proj matmul with its bias
@@ -488,8 +514,10 @@ class TestConv2dRelu:
                 y = ag.conv2d(xt, wt, bt, stride=2, padding=1, relu=True)
             else:
                 y = relu(ag.conv2d(xt, wt, bt, stride=2, padding=1))
-            tape.backward(ag.sum_(ag.mul(y, Tensor(r))))
-        return (y.data, xt.grad, wt.grad, bt.grad), len(tape)
+            loss = ag.sum_(ag.mul(y, Tensor(r)))
+            nodes = len(tape)
+            tape.backward(loss)
+        return (y.data, xt.grad, wt.grad, bt.grad), nodes
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_matches_conv_then_relu_bit_for_bit(self, dtype):
@@ -917,8 +945,12 @@ class TestTape:
         assert np.isfinite(z.data).all()
 
     def test_backward_frees_intermediate_gradients(self):
-        # each recorded output's gradient is dead once its node has run;
-        # the leaves keep theirs, and those are the finite-difference ones
+        # backward drops each node once it has run: the tape ends empty, an
+        # output nothing else holds is freed with its array, and the other
+        # recorded outputs lose their gradients; the leaves keep theirs, and
+        # those are the finite-difference ones
+        import weakref
+
         rng = np.random.default_rng(28)
         x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
         w = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
@@ -928,9 +960,13 @@ class TestTape:
             return ag.sum_(ag.mul(ag.softmax(h), h))
 
         with Tape() as tape:
-            tape.backward(fn(x, w))
-        outputs = [out for out, _ in tape._nodes]
-        assert len(outputs) == 5
+            loss = fn(x, w)
+            assert len(tape) == 5
+            product = weakref.ref(tape._nodes[0][0].data)  # matmul's output
+            outputs = [out for out, _ in tape._nodes[1:]]
+            tape.backward(loss)
+        assert len(tape) == 0
+        assert product() is None
         assert all(out.grad is None for out in outputs)
         got = [x.grad, w.grad]
         x.grad = w.grad = None

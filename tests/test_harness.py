@@ -238,6 +238,24 @@ class TestTrain:
             tracemalloc.stop()
         assert retained < 40 * 2**20
 
+    def test_paper_config_step_peaks_under_40_mib(self, small_dataset):
+        # backward drops each node once it has run, and attention keeps no
+        # probabilities, so the step peaks as the decoder's backward starts
+        import tracemalloc
+
+        ds = dataio.Dataset(small_dataset)
+        batch = ds.batch(np.arange(4))
+        cfg = ExperimentConfig()
+        model = build_model(cfg)
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                tape.backward(batch_loss(model, batch, ds.assets.J, cfg.loss_weights).total_node)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
+
     def test_dataset_loss_reads_at_most_the_loss_batch(self, small_dataset, monkeypatch):
         # per-sample forwards do not depend on the batch, so only the
         # chunk-mean summation moves with LOSS_BATCH

@@ -19,6 +19,8 @@ from .train import load_trained_model, train
 
 GRID_AXES = ("sampler", "decoder")  # the paper's two halves
 
+EVAL_COUNT = 500  # held-out samples each run is scored on
+
 CSV_COLUMNS = ("cell", "seed", *METRIC_COLUMNS, "params_non_backbone", "steps_per_sec", "steps", "config")
 
 
@@ -61,10 +63,10 @@ def _config_key(config):
     return json.dumps({**config, "seed": 0, "out_dir": ""}, sort_keys=True)
 
 
-def run_ablation(base_cfg, grid, out_csv, seeds=(0, 1, 2), eval_count=500):
+def run_ablation(base_cfg, grid, out_csv, seeds=(0, 1, 2)):
     """Train and evaluate every valid (cell, seed); append rows to out_csv.
 
-    Each run is scored on held-out samples: the next `eval_count` of the
+    Each run is scored on held-out samples: the next EVAL_COUNT of the
     training set's seed stream, which train() never draws, read through a
     manifest written to `heldout/` beside out_csv.
 
@@ -76,8 +78,6 @@ def run_ablation(base_cfg, grid, out_csv, seeds=(0, 1, 2), eval_count=500):
         raise ValueError(f"need at least 3 distinct shared seeds, got {tuple(seeds)}")
     for seed in seeds:
         replace(base_cfg, seed=seed)  # the config's own seed rule, before any work
-    if type(eval_count) is not int or eval_count < 1:  # the exact check also refuses bool
-        raise ValueError(f"eval_count must be an integer >= 1, got {eval_count!r}")
     cells = []
     for cell in expand_grid(grid):
         cid = cell_id(cell)
@@ -103,9 +103,9 @@ def run_ablation(base_cfg, grid, out_csv, seeds=(0, 1, 2), eval_count=500):
     count = manifest["count"]
     root = os.path.dirname(os.path.abspath(out_csv))
     heldout_dir = os.path.join(root, "heldout")
-    dataio.generate_dataset(heldout_dir, count + eval_count, manifest["seed"])
+    dataio.generate_dataset(heldout_dir, count + EVAL_COUNT, manifest["seed"])
     dataset = dataio.Dataset(heldout_dir)
-    eval_indices = range(count, count + eval_count)
+    eval_indices = range(count, count + EVAL_COUNT)
     with open(out_csv, "a", newline="") as fh:
         writer = csv.writer(fh)
         if new_file:

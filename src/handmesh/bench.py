@@ -13,8 +13,8 @@ from .train import build_model
 def run_bench(cfg, iters=50):
     """Time bare forward passes on one fixed input; report parameter split.
 
-    The input is the dataset's first `batch_size` rendered samples for
-    cfg.seed, because rendered samples are what the model really reads.
+    The input is the dataset's first rendered sample for cfg.seed, because
+    rendered samples are what the model really reads.
     """
     warmup, batch_size = 5, 1
     if type(iters) is not int or iters < 10:  # the exact check also refuses bool

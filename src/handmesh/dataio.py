@@ -96,7 +96,7 @@ class Dataset:
 
     def __getitem__(self, i):
         rows = {name: arr[0] for name, arr in self.batch([i]).items()}
-        return HandSample(**rows, seed=sample_seed(self.seed, i))
+        return HandSample(**rows)
 
     def batch(self, indices):
         indices = [int(i) for i in indices]

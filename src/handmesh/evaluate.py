@@ -11,12 +11,12 @@ import os
 import numpy as np
 
 from .autograd import Tensor
-from .losses import joints_from_vertices
 from .metrics import METRIC_COLUMNS, compute_report
 
 
-def evaluate(model, dataset, out_dir=None, batch_size=8, indices=None):
-    """Forward `model` over `dataset` and score each sample.
+def evaluate(model, dataset, out_dir, batch_size=8, indices=None):
+    """Forward `model` over `dataset`, score each sample, and write
+    per_sample.csv and report.json to `out_dir`.
 
     Ground-truth joints come from each sample's vertices, rendered on
     read, through the regression matrix (the same route the prediction
@@ -40,17 +40,15 @@ def evaluate(model, dataset, out_dir=None, batch_size=8, indices=None):
         out = model(Tensor(batch["input"]))
         V_pred = out.vertices.data.astype(np.float64)
         V_gt = batch["V_3d"].astype(np.float64)
-        J3d_pred, J3d_gt = joints_from_vertices(V_pred, J), joints_from_vertices(V_gt, J)
-        for idx, pred_v, gt_v, pred_j, gt_j in zip(chunk, V_pred, V_gt, J3d_pred, J3d_gt):
+        for idx, pred_v, gt_v, pred_j, gt_j in zip(chunk, V_pred, V_gt, J @ V_pred, J @ V_gt):
             rep = compute_report(pred_v, gt_v, pred_j, gt_j)
             rows.append((idx,) + tuple(rep[m] for m in METRIC_COLUMNS))
     report = aggregate_rows(rows)
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        write_per_sample_csv(os.path.join(out_dir, "per_sample.csv"), rows)
-        with open(os.path.join(out_dir, "report.json"), "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    os.makedirs(out_dir, exist_ok=True)
+    write_per_sample_csv(os.path.join(out_dir, "per_sample.csv"), rows)
+    with open(os.path.join(out_dir, "report.json"), "w") as fh:
+        json.dump(report, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     return report, rows
 
 

@@ -15,17 +15,6 @@ from . import autograd as ag
 from .autograd import Tensor
 
 
-def joints_from_vertices(V, J):
-    """J (21,778) @ V (...,778,3) -> (...,21,3); differentiable when V is a Tensor.
-    J comes checked from synth.regression_matrix_from_weights."""
-    v_shape = V.shape
-    if v_shape[-2] != J.shape[1] or v_shape[-1] != 3:
-        raise ValueError(f"vertex array {v_shape} incompatible with regression matrix {J.shape}")
-    if isinstance(V, Tensor):
-        return ag.matmul(Tensor(J.astype(V.dtype, copy=False)), V)
-    return np.matmul(J, V)
-
-
 def l1_mean(pred, gt):
     """Mean absolute difference of a Tensor from an array: sum|pred-gt| / (M*D)."""
     gt = np.asarray(gt)
@@ -74,9 +63,8 @@ def total_loss(V_pred, V_gt, J2d_pred, J2d_gt, J, weights=None):
     w = weights or LossWeights()
     V_pred, J2d_pred = _float64_tensor(V_pred), _float64_tensor(J2d_pred)
     V_gt, J2d_gt = np.asarray(V_gt, np.float64), np.asarray(J2d_gt, np.float64)
-    J3d_gt = joints_from_vertices(V_gt, J)
     l_vert = l1_mean(V_pred, V_gt)
-    l_j3d = l1_mean(joints_from_vertices(V_pred, J), J3d_gt)
+    l_j3d = l1_mean(ag.matmul(Tensor(J), V_pred), J @ V_gt)
     l_j2d = l1_mean(J2d_pred, J2d_gt)
     total = ag.add(
         ag.add(ag.mul(l_j3d, w.w_3d), ag.mul(l_j2d, w.w_2d)),

@@ -20,16 +20,13 @@ class SimilarityTransform:
     R: np.ndarray  # (3, 3)
     t: np.ndarray  # (3,)
 
-    def apply(self, points):
-        return self.s * points @ self.R.T + self.t
-
 
 def procrustes_align(P, G):
     """Best-fit similarity transform of P onto G.
 
     Returns (SimilarityTransform, aligned P). Raises on degenerate G
-    (all points coincident); a degenerate P falls back to pure
-    translation so collapsed predictions still evaluate.
+    (all points coincident); a degenerate P takes s = 1 and R = I, a pure
+    translation, so collapsed predictions still evaluate.
     """
     P = np.asarray(P, dtype=np.float64)
     G = np.asarray(G, dtype=np.float64)
@@ -44,17 +41,15 @@ def procrustes_align(P, G):
     if var_g == 0.0:
         raise ValueError("procrustes_align: ground truth points are all coincident")
     if var_p == 0.0:
-        tf = SimilarityTransform(s=1.0, R=np.eye(3), t=mu_g - mu_p)
-        return tf, tf.apply(P)
-    A = P0.T @ G0
-    U, sigma, Vt = np.linalg.svd(A)
-    d = np.sign(np.linalg.det(Vt.T @ U.T))
-    D = np.diag([1.0, 1.0, d])
-    R = Vt.T @ D @ U.T
-    s = (sigma * np.diag(D)).sum() / var_p
+        s, R = 1.0, np.eye(3)
+    else:
+        U, sigma, Vt = np.linalg.svd(P0.T @ G0)
+        d = np.sign(np.linalg.det(Vt.T @ U.T))
+        D = np.diag([1.0, 1.0, d])
+        R = Vt.T @ D @ U.T
+        s = float((sigma * np.diag(D)).sum() / var_p)
     t = mu_g - s * R @ mu_p
-    tf = SimilarityTransform(s=float(s), R=R, t=t)
-    return tf, tf.apply(P)
+    return SimilarityTransform(s=s, R=R, t=t), s * P @ R.T + t
 
 
 def mean_euclidean(P, G):

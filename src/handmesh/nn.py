@@ -154,12 +154,7 @@ class MetaformerBlock(Module):
     """Pre-norm token mixer plus pre-norm MLP, both residual."""
 
     def __init__(self, c, mixer, heads, rng):
-        if mixer == "attn":
-            self.mixer = SelfAttention(c, heads, rng)
-        elif mixer == "identity":
-            self.mixer = Identity()
-        else:
-            raise ValueError(f"unknown mixer {mixer!r}, expected one of {MIXERS}")
+        self.mixer = SelfAttention(c, heads, rng) if mixer == "attn" else Identity()
         self.norm1 = LayerNorm(c)
         self.norm2 = LayerNorm(c)
         self.mlp = Mlp(c, rng)

@@ -73,7 +73,6 @@ class HandSample:
     J_3d: np.ndarray  # (21, 3) mm, root-relative
     J_2d: np.ndarray  # (21, 2) px
     camera: np.ndarray  # (3,) scale px/mm, tx px, ty px
-    seed: int
 
 
 @dataclass
@@ -346,4 +345,4 @@ def generate_sample(assets, seed, out=None):
     V2 = project(V, camera)
     J2 = project(J3, camera)
     inp = render_input(J2, V2, out=out)
-    return HandSample(input=inp, V_3d=V, J_3d=J3, J_2d=J2, camera=camera, seed=int(seed))
+    return HandSample(input=inp, V_3d=V, J_3d=J3, J_2d=J2, camera=camera)

@@ -22,7 +22,6 @@ _SCHEME_STRIDES = {"none": (), "single-2x": (2,), "single-4x": (4,), "double-2x"
                    "4x-with-extra-convs": (2, 2)}
 SCHEMES = tuple(_SCHEME_STRIDES)
 
-NUM_KEYPOINTS = NUM_JOINTS
 COARSE_TOKENS = 98  # every-8th vertex of the 778-vertex template
 # stage 0 is at least as wide as the input so every channel keeps a
 # pass-through slot under the smoothing init below
@@ -59,7 +58,7 @@ def expected_tokens(cfg):
     if cfg.variant == "grid":
         return cfg.target_resolution * cfg.target_resolution
     if cfg.variant == "keypoint":
-        return NUM_KEYPOINTS
+        return NUM_JOINTS
     return COARSE_TOKENS
 
 
@@ -198,7 +197,7 @@ class TokenGenerator(Module):
         self.upsampler = FeatureUpsampler(cfg.upsample_scheme, self.backbone.out_channels, rng)
         # coordinate heads start at zero: uniform heatmaps keep the
         # soft-argmax mobile while supervision shapes them
-        self.kp_head = Conv2d(self.backbone.out_channels, NUM_KEYPOINTS, 1, rng)
+        self.kp_head = Conv2d(self.backbone.out_channels, NUM_JOINTS, 1, rng)
         self.kp_head.weight.data[:] = 0.0
         if cfg.variant == "coarse_mesh":
             self.coarse_head = Conv2d(self.backbone.out_channels, COARSE_TOKENS, 1, rng)

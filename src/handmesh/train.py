@@ -97,9 +97,6 @@ def train(cfg):
                 writer.writerow([step, repr(bd.L_vert), repr(bd.L_J3d), repr(bd.L_J2d),
                                  repr(bd.total), repr(lr)])
             loop_secs = time.perf_counter() - t0
-        # the optimizer state is dead: free it, so the dataset loss's forwards
-        # reuse its memory
-        del opt
         step, idxs = cfg.total_steps, np.arange(len(ds))
         final = dataset_loss(model, ds, ds.assets, cfg.loss_weights)
     except FloatingPointError as err:

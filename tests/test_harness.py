@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from handmesh import ablate as ablate_module
-from handmesh import bench, cli, dataio
+from handmesh import bench, dataio
 from handmesh import train as train_module
 from handmesh.ablate import apply_cell, cell_id, expand_grid, read_rows, run_ablation, summarize
 from handmesh.bench import run_bench
@@ -303,10 +303,10 @@ class TestTrain:
 
 
 class TestEvaluate:
-    def test_oracle_predictor_scores_perfectly(self, small_dataset):
+    def test_oracle_predictor_scores_perfectly(self, small_dataset, tmp_path):
         ds = dataio.Dataset(small_dataset)
         idxs = list(range(len(ds)))
-        report, rows = evaluate(OracleModel(ds, idxs), ds, batch_size=4)
+        report, rows = evaluate(OracleModel(ds, idxs), ds, str(tmp_path / "eval"), batch_size=4)
         assert report["count"] == 6
         for metric in ("mpjpe_mm", "mpvpe_mm", "pa_mpjpe_mm", "pa_mpvpe_mm"):
             assert report[metric] < 1e-9, metric
@@ -315,7 +315,7 @@ class TestEvaluate:
     def test_pa_never_exceeds_unaligned_per_sample(self, small_dataset, tmp_path):
         ds = dataio.Dataset(small_dataset)
         model = build_model(tiny_config(small_dataset, tmp_path))
-        _, rows = evaluate(model, ds)
+        _, rows = evaluate(model, ds, str(tmp_path / "eval"))
         for idx, mpjpe, mpvpe, pa_mpjpe, pa_mpvpe, f05, f15 in rows:
             assert pa_mpjpe <= mpjpe + 1e-9
             assert pa_mpvpe <= mpvpe + 1e-9
@@ -323,7 +323,7 @@ class TestEvaluate:
     def test_report_matches_csv_reaggregation(self, small_dataset, tmp_path):
         ds = dataio.Dataset(small_dataset)
         model = build_model(tiny_config(small_dataset, tmp_path))
-        report, _ = evaluate(model, ds, out_dir=str(tmp_path / "eval"))
+        report, _ = evaluate(model, ds, str(tmp_path / "eval"))
         again = reaggregate_csv(str(tmp_path / "eval" / "per_sample.csv"))
         for key, val in report.items():
             ref = again[key]
@@ -333,18 +333,20 @@ class TestEvaluate:
         ds = dataio.Dataset(small_dataset)
         model = build_model(tiny_config(small_dataset, tmp_path))
         with pytest.raises(ValueError):
-            evaluate(model, ds, indices=[])
+            evaluate(model, ds, str(tmp_path / "eval"), indices=[])
+        assert not (tmp_path / "eval").exists()
 
     @pytest.mark.parametrize("batch_size", [0, -2, True, 2.5, 1.0])
-    def test_nonpositive_batch_size_rejected(self, small_dataset, batch_size, monkeypatch):
+    def test_nonpositive_batch_size_rejected(self, small_dataset, batch_size, monkeypatch, tmp_path):
         # the config loader's rule: an exact integer, so no bool or float either
         ds = dataio.Dataset(small_dataset)
         model = OracleModel(ds, range(len(ds)))
         reads = []
         monkeypatch.setattr(ds, "batch", reads.append)
         with pytest.raises(ValueError, match="batch_size"):
-            evaluate(model, ds, batch_size=batch_size)
+            evaluate(model, ds, str(tmp_path / "eval"), batch_size=batch_size)
         assert reads == []
+        assert not (tmp_path / "eval").exists()
 
 
 IDENTITY_GRID = {"decoder": [{"m": ["identity"] * 3}]}
@@ -410,23 +412,25 @@ class TestAblate:
         assert not [n for n in names if "pos_emb" in n]
         assert [n for n, _ in build_model(base).named_parameters() if "pos_emb" in n]
 
-    def test_sampler_schemes_train_apart(self, small_dataset, tmp_path):
+    def test_sampler_schemes_train_apart(self, small_dataset, tmp_path, monkeypatch):
         base = tiny_config(small_dataset, tmp_path / "unused", total_steps=1, batch_size=1)
         csv_path = str(tmp_path / "abl" / "ablation.csv")
         grid = {"sampler": [
             {"variant": "keypoint", "target_resolution": 14, "upsample_scheme": "single-2x"},
             {"variant": "keypoint", "target_resolution": 28, "upsample_scheme": "double-2x"},
         ]}
-        run_ablation(base, grid, csv_path, eval_count=1)
+        monkeypatch.setattr(ablate_module, "EVAL_COUNT", 1)
+        run_ablation(base, grid, csv_path)
         assert len(read_rows(csv_path)) == 6
         assert len(summarize(csv_path)) == 2
         assert len(os.listdir(tmp_path / "abl" / "runs")) == 2
 
-    def test_mixer_grid_emits_two_rows_per_seed(self, small_dataset, tmp_path):
+    def test_mixer_grid_emits_two_rows_per_seed(self, small_dataset, tmp_path, monkeypatch):
         base = tiny_config(small_dataset, tmp_path / "unused", total_steps=1, batch_size=1)
         csv_path = str(tmp_path / "abl" / "ablation.csv")
         grid = {"decoder": [{"m": ["attn"] * 3}, {"m": ["identity"] * 3}]}
-        run_ablation(base, grid, csv_path, seeds=(0, 1, 2), eval_count=2)
+        monkeypatch.setattr(ablate_module, "EVAL_COUNT", 2)
+        run_ablation(base, grid, csv_path, seeds=(0, 1, 2))
         rows = read_rows(csv_path)
         assert len(rows) == 6
         by_cell = {}
@@ -438,10 +442,11 @@ class TestAblate:
         assert set(summary) == {attn, identity}
         assert summary[attn]["seeds"] == [0, 1, 2]
 
-    def test_row_param_counts_match_bench(self, small_dataset, tmp_path):
+    def test_row_param_counts_match_bench(self, small_dataset, tmp_path, monkeypatch):
         base = tiny_config(small_dataset, tmp_path / "unused", total_steps=1, batch_size=1)
         csv_path = str(tmp_path / "abl" / "ablation.csv")
-        run_ablation(base, IDENTITY_GRID, csv_path, eval_count=1)
+        monkeypatch.setattr(ablate_module, "EVAL_COUNT", 1)
+        run_ablation(base, IDENTITY_GRID, csv_path)
         row = read_rows(csv_path)[0]
         cfg = ExperimentConfig.from_dict(json.loads(row["config"]))
         bench = run_bench(cfg, iters=10)
@@ -462,19 +467,21 @@ class TestAblate:
         monkeypatch.setattr(train_module, "dataset_loss", slow)
         base = tiny_config(small_dataset, tmp_path / "unused", total_steps=1, batch_size=1)
         csv_path = str(tmp_path / "abl" / "ablation.csv")
-        run_ablation(base, IDENTITY_GRID, csv_path, eval_count=1)
+        monkeypatch.setattr(ablate_module, "EVAL_COUNT", 1)
+        run_ablation(base, IDENTITY_GRID, csv_path)
         rates = [float(row["steps_per_sec"]) for row in read_rows(csv_path)]
         assert offset[0] == 6000.0  # two passes per run, three runs
         assert len(rates) == 3 and min(rates) > 1 / 1000
 
-    def test_invalid_cells_skipped_with_reason(self, small_dataset, tmp_path, capsys):
+    def test_invalid_cells_skipped_with_reason(self, small_dataset, tmp_path, capsys, monkeypatch):
         base = tiny_config(small_dataset, tmp_path / "unused", total_steps=1, batch_size=1)
         csv_path = str(tmp_path / "abl" / "ablation.csv")
         grid = {"sampler": [
             {"variant": "global", "target_resolution": 28, "upsample_scheme": "double-2x"},
             {"variant": "global", "target_resolution": 7, "upsample_scheme": "none"},
         ]}
-        run_ablation(base, grid, csv_path, eval_count=1)
+        monkeypatch.setattr(ablate_module, "EVAL_COUNT", 1)
+        run_ablation(base, grid, csv_path)
         rows = read_rows(csv_path)
         assert {r["cell"] for r in rows} == {
             "sampler=target_resolution=7,upsample_scheme=none,variant=global"}
@@ -495,30 +502,33 @@ class TestAblate:
 
         monkeypatch.setattr(ablate_module, "train", logged_train)
         grid = {"decoder": [{"n": [True, 1, 1]}, {"m": ["identity"] * 3}]}
-        run_ablation(base, grid, csv_path, eval_count=1)
+        monkeypatch.setattr(ablate_module, "EVAL_COUNT", 1)
+        run_ablation(base, grid, csv_path)
         assert {r["cell"] for r in read_rows(csv_path)} == {"decoder=m=identity-identity-identity"}
         assert stderr_at_train[0] == (
             "skipping cell decoder=n=True-1-1: n, d, c and heads must be integers, "
             "got n=[True, 1, 1], d=[84, 336, 778], c=[256, 128, 64], heads=4\n")
         assert len(stderr_at_train) == 3
 
-    def test_csv_is_append_only(self, small_dataset, tmp_path):
+    def test_csv_is_append_only(self, small_dataset, tmp_path, monkeypatch):
         base = tiny_config(small_dataset, tmp_path / "unused", total_steps=1, batch_size=1)
         csv_path = str(tmp_path / "abl" / "ablation.csv")
-        run_ablation(base, IDENTITY_GRID, csv_path, eval_count=1)
+        monkeypatch.setattr(ablate_module, "EVAL_COUNT", 1)
+        run_ablation(base, IDENTITY_GRID, csv_path)
         first = open(csv_path).read()
-        run_ablation(base, {"decoder": [{"m": ["attn"] * 3}]}, csv_path, eval_count=1)
+        run_ablation(base, {"decoder": [{"m": ["attn"] * 3}]}, csv_path)
         second = open(csv_path).read()
         assert second.startswith(first)
         assert len(read_rows(csv_path)) == 6
 
-    def test_summarize_rejects_a_cell_of_two_budgets(self, small_dataset, tmp_path):
+    def test_summarize_rejects_a_cell_of_two_budgets(self, small_dataset, tmp_path, monkeypatch):
         # run_ablation refuses to write such a CSV, so the second budget's
         # rows are appended by hand
         csv_path = str(tmp_path / "abl" / "ablation.csv")
         cid = "decoder=m=identity-identity-identity"
         base = tiny_config(small_dataset, tmp_path / "unused", total_steps=1, batch_size=1)
-        run_ablation(base, IDENTITY_GRID, csv_path, eval_count=1)
+        monkeypatch.setattr(ablate_module, "EVAL_COUNT", 1)
+        run_ablation(base, IDENTITY_GRID, csv_path)
         assert summarize(csv_path)[cid]["seeds"] == [0, 1, 2]
         rows = read_rows(csv_path)
         with open(csv_path, "a", newline="") as fh:
@@ -529,15 +539,16 @@ class TestAblate:
         with pytest.raises(ValueError, match=cid):
             summarize(csv_path)
 
-    def test_second_budget_of_a_cell_refused_before_training(self, small_dataset, tmp_path):
+    def test_second_budget_of_a_cell_refused_before_training(self, small_dataset, tmp_path, monkeypatch):
         csv_path = str(tmp_path / "abl" / "ablation.csv")
         cid = "decoder=m=identity-identity-identity"
         one, two = (tiny_config(small_dataset, tmp_path / "unused", total_steps=steps, batch_size=1)
                     for steps in (1, 2))
-        run_ablation(one, IDENTITY_GRID, csv_path, eval_count=1)
+        monkeypatch.setattr(ablate_module, "EVAL_COUNT", 1)
+        run_ablation(one, IDENTITY_GRID, csv_path)
         first = open(csv_path).read()
         with pytest.raises(ValueError, match=re.escape(cid)):
-            run_ablation(two, IDENTITY_GRID, csv_path, eval_count=1)
+            run_ablation(two, IDENTITY_GRID, csv_path)
         assert open(csv_path).read() == first
         seed0 = tmp_path / "abl" / "runs" / cid / "seed0" / "config.json"
         assert json.load(open(seed0))["total_steps"] == 1
@@ -562,8 +573,9 @@ class TestAblate:
         monkeypatch.setattr(ablate_module, "train", no_train)
         base = tiny_config(small_dataset, tmp_path / "unused", total_steps=1, batch_size=1)
         csv_path = tmp_path / "abl" / "ablation.csv"
+        monkeypatch.setattr(ablate_module, "EVAL_COUNT", 2)
         with pytest.raises(ValueError, match="seed must be an integer"):
-            run_ablation(base, IDENTITY_GRID, str(csv_path), seeds=seeds, eval_count=2)
+            run_ablation(base, IDENTITY_GRID, str(csv_path), seeds=seeds)
         assert not (tmp_path / "abl" / "heldout").exists()
         assert not csv_path.exists()
 
@@ -571,18 +583,6 @@ class TestAblate:
         # a report metric added to METRIC_COLUMNS lands in the CSV, in its order
         at = ablate_module.CSV_COLUMNS.index(METRIC_COLUMNS[0])
         assert ablate_module.CSV_COLUMNS[at:at + len(METRIC_COLUMNS)] == METRIC_COLUMNS
-
-    @pytest.mark.parametrize("eval_count", [0, -1, 1.0, True])
-    def test_bad_eval_count_rejected_before_any_work(self, small_dataset, tmp_path, monkeypatch, eval_count):
-        def no_train(cfg):
-            raise AssertionError("trained before refusing the eval count")
-
-        monkeypatch.setattr(ablate_module, "train", no_train)
-        base = tiny_config(small_dataset, tmp_path / "unused", total_steps=1, batch_size=1)
-        csv_path = tmp_path / "abl" / "ablation.csv"
-        with pytest.raises(ValueError, match="eval_count"):
-            run_ablation(base, IDENTITY_GRID, str(csv_path), eval_count=eval_count)
-        assert not (tmp_path / "abl").exists()
 
     def test_csv_of_other_columns_refused_before_any_work(self, small_dataset, tmp_path, monkeypatch):
         # the same names in another order: appended rows would put PA-MPJPE
@@ -597,15 +597,17 @@ class TestAblate:
         csv_path = tmp_path / "abl" / "ablation.csv"
         csv_path.parent.mkdir()
         csv_path.write_text(",".join(columns) + "\n")
+        monkeypatch.setattr(ablate_module, "EVAL_COUNT", 1)
         with pytest.raises(ValueError, match="columns"):
-            run_ablation(base, IDENTITY_GRID, str(csv_path), eval_count=1)
+            run_ablation(base, IDENTITY_GRID, str(csv_path))
         assert not (tmp_path / "abl" / "heldout").exists()
         assert csv_path.read_text() == ",".join(columns) + "\n"
 
-    def test_row_metrics_equal_run_reports(self, small_dataset, tmp_path):
+    def test_row_metrics_equal_run_reports(self, small_dataset, tmp_path, monkeypatch):
         base = tiny_config(small_dataset, tmp_path / "unused", total_steps=1, batch_size=1)
         csv_path = str(tmp_path / "abl" / "ablation.csv")
-        run_ablation(base, IDENTITY_GRID, csv_path, eval_count=2)
+        monkeypatch.setattr(ablate_module, "EVAL_COUNT", 2)
+        run_ablation(base, IDENTITY_GRID, csv_path)
         rows = read_rows(csv_path)
         assert len(rows) == 3
         for row in rows:
@@ -635,7 +637,8 @@ class TestAblate:
         monkeypatch.setattr(ablate_module, "train", in_phase("train", train))
         monkeypatch.setattr(ablate_module, "evaluate", in_phase("evaluate", evaluate))
         monkeypatch.setattr(dataio.Dataset, "batch", logged_batch)
-        run_ablation(base, IDENTITY_GRID, csv_path, eval_count=3)
+        monkeypatch.setattr(ablate_module, "EVAL_COUNT", 3)
+        run_ablation(base, IDENTITY_GRID, csv_path)
         count = len(dataio.Dataset(small_dataset))
         for row in read_rows(csv_path):
             run_dir = tmp_path / "abl" / "runs" / row["cell"].replace("|", "_") / f"seed{row['seed']}"
@@ -745,9 +748,8 @@ class TestCliPipeline:
 
     def test_ablate_prints_the_summary_of_its_csv(self, small_dataset, tmp_path, capsys,
                                                   monkeypatch):
-        # the CLI scores 500 held-out samples per run; one is enough here
-        monkeypatch.setattr(cli, "run_ablation",
-                            lambda *a, **kw: run_ablation(*a, eval_count=1, **kw))
+        # the CLI scores ablate.EVAL_COUNT (500) held-out samples per run; one is enough here
+        monkeypatch.setattr(ablate_module, "EVAL_COUNT", 1)
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps(IDENTITY_GRID))
         out = tmp_path / "abl"

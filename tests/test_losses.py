@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from handmesh.autograd import Tape, Tensor
-from handmesh.losses import LossWeights, joints_from_vertices, l1_mean, total_loss
+from handmesh.losses import LossWeights, l1_mean, total_loss
 from handmesh.rng import substream
 from handmesh.synth import build_assets
 
@@ -25,50 +25,43 @@ def one_hot_regression_matrix(vertex_ids, verts=778):
 
 
 class TestJointsFromVertices:
+    """total_loss's L_J3d: the L1 of J @ V_pred against J @ V_gt."""
+
+    @staticmethod
+    def _l_j3d(V_pred, V_gt, J):
+        J2d = np.zeros(V_gt.shape[:-2] + (J.shape[0], 2))
+        return total_loss(V_pred, V_gt, J2d, J2d, J).L_J3d
+
     def test_one_hot_rows_select_vertices(self):
         ids = substream(2, "ids").integers(0, 778, size=21)
         J = one_hot_regression_matrix(ids)
-        V = substream(3, "V").normal(scale=50.0, size=(778, 3))
-        assert np.array_equal(joints_from_vertices(V, J), V[ids])
-
-    def test_translation_equivariance(self):
-        rng = substream(4, "JV")
-        J = random_regression_matrix(rng)
-        V = rng.normal(scale=50.0, size=(778, 3))
-        t = np.array([7.0, -3.0, 11.0])
-        a = joints_from_vertices(V + t, J)
-        b = joints_from_vertices(V, J) + t
-        assert np.abs(a - b).max() / np.abs(b).max() < 1e-10
+        rng = substream(3, "V")
+        V_gt = rng.normal(scale=50.0, size=(778, 3))
+        V_pred = V_gt + rng.normal(scale=5.0, size=(778, 3))
+        want = float(l1_mean(Tensor(V_pred[ids]), V_gt[ids]).data)
+        assert self._l_j3d(V_pred, V_gt, J) == want
 
     def test_matches_matmul_oracle_batched(self):
         rng = substream(5, "JV")
         J = random_regression_matrix(rng)
-        V = rng.normal(scale=50.0, size=(4, 778, 3))
-        want = np.einsum("jv,bvc->bjc", J, V)
-        got = joints_from_vertices(V, J)
-        assert np.abs(got - want).max() / np.abs(want).max() < 1e-12
-
-    def test_shape_mismatch_rejected(self):
-        J = random_regression_matrix(substream(6, "J"))
-        with pytest.raises(ValueError):
-            joints_from_vertices(np.zeros((777, 3)), J)
-
-    def test_tensor_route_matches_array_route(self):
-        rng = substream(7, "JV")
-        J = random_regression_matrix(rng)
-        V = rng.normal(scale=50.0, size=(2, 778, 3))
-        got = joints_from_vertices(Tensor(V), J)
-        assert np.abs(got.data - joints_from_vertices(V, J)).max() < 1e-12
+        V_gt = rng.normal(scale=50.0, size=(4, 778, 3))
+        V_pred = V_gt + rng.normal(scale=5.0, size=(4, 778, 3))
+        oracle = lambda V: np.einsum("jv,bvc->bjc", J, V)
+        want = np.abs(oracle(V_pred) - oracle(V_gt)).mean()
+        assert abs(self._l_j3d(V_pred, V_gt, J) - want) / want < 1e-12
 
     @pytest.mark.parametrize("wrap", [np.asarray, Tensor, lambda v: Tensor(v.astype(np.float32))],
                              ids=["array", "tensor64", "tensor32"])
     def test_stack_equals_per_sample_calls_bit_for_bit(self, wrap):
+        # the stack is regressed in float64, each sample to its own J @ V bits
         J = build_assets().J
-        V = substream(23, "V").normal(scale=50.0, size=(4, 778, 3))
-        data = lambda x: x.data if isinstance(x, Tensor) else x
-        stacked = data(joints_from_vertices(wrap(V), J))
-        for i in range(4):
-            assert np.array_equal(stacked[i], data(joints_from_vertices(wrap(V[i]), J)))
+        rng = substream(23, "V")
+        V_gt = rng.normal(scale=50.0, size=(4, 778, 3))
+        V_pred = wrap(V_gt + rng.normal(scale=5.0, size=(4, 778, 3)))
+        V64 = np.asarray(V_pred.data if isinstance(V_pred, Tensor) else V_pred, np.float64)
+        pred, gt = (np.stack([J @ V[i] for i in range(4)]) for V in (V64, V_gt))
+        want = float(l1_mean(Tensor(pred), gt).data)
+        assert self._l_j3d(V_pred, V_gt, J) == want
 
 
 class TestL1Mean:

@@ -72,3 +72,14 @@ def test_traced_train_splits_each_step(perfbench, tmp_path):
     metrics = perfbench["spans"].summarize(tracer)
     for part in ("data", "forward", "loss", "backward", "optim"):
         assert metrics[f"train.step.{part}_ms"] > 0, part
+
+
+@pytest.mark.parametrize("name", ["train_kp", "infer_b1", "eval_global"])
+def test_each_workload_runs_one_checked_op(perfbench, tmp_path, name):
+    # each workload's own calls into handmesh, as one benchmark op makes them
+    wl = perfbench["workloads"].WORKLOADS[name]()
+    wl.setup(1, str(tmp_path))
+    assert wl.check(0, wl.op(0))
+    failed, loss = wl.finish()
+    assert not failed
+    assert np.isfinite(loss)

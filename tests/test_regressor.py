@@ -283,8 +283,6 @@ class TestMeshRegressor:
         assert DecoderConfig().d[-1] == synth.NUM_VERTICES
         stem = HandMeshModel(SamplerConfig(), DecoderConfig(), seed=0).tokens.backbone.stages[0].weight
         assert stem.shape[1] == synth.INPUT_SHAPE[0]
-        with pytest.raises(ValueError, match="expected one of \\('attn', 'identity'\\)"):
-            MetaformerBlock(8, "conv", 2, substream(37, "block"))
 
     def test_wrong_token_count_rejected(self):
         reg = MeshRegressor(DecoderConfig(), 21, 64, substream(33, "reg"))

@@ -10,10 +10,9 @@ from handmesh.autograd import Tape, Tensor
 from handmesh.model import HandMeshModel
 from handmesh.regressor import DecoderConfig
 from handmesh.rng import substream
-from handmesh.synth import INPUT_SHAPE
+from handmesh.synth import INPUT_SHAPE, NUM_JOINTS
 from handmesh.tokens import (
     COARSE_TOKENS,
-    NUM_KEYPOINTS,
     FeatureUpsampler,
     SamplerConfig,
     TokenGenerator,
@@ -306,7 +305,7 @@ class TestTokenGenerator:
         gen = TokenGenerator(cfg, substream(15, "gen"))
         tokens, kp_coords = gen(self._image(16))
         assert tokens.shape == (1, expected_tokens(cfg), 64)
-        assert kp_coords.shape == (1, NUM_KEYPOINTS, 2)
+        assert kp_coords.shape == (1, NUM_JOINTS, 2)
         assert np.isfinite(tokens.data).all()
 
     def test_paper_model_refuses_a_448_input(self, monkeypatch):

@@ -11,6 +11,8 @@ import os
 import sys
 from dataclasses import asdict, replace
 
+import numpy as np
+
 from . import dataio
 from .config import ExperimentConfig
 from .evaluate import evaluate
@@ -26,6 +28,9 @@ CSV_COLUMNS = ("cell", "seed", *METRIC_COLUMNS, "params_non_backbone", "steps_pe
 
 def expand_grid(grid):
     """Cartesian product over the provided axes -> list of cell dicts."""
+    if not isinstance(grid, dict):
+        raise ValueError(f"grid must be a JSON object mapping axes in {GRID_AXES} to lists of dicts "
+                         f"of config fields, got {type(grid).__name__}")
     for axis, values in grid.items():
         if axis not in GRID_AXES:
             raise ValueError(f"unknown grid axis {axis!r}, expected subset of {GRID_AXES}")
@@ -136,8 +141,6 @@ def read_rows(csv_path):
 def summarize(csv_path):
     """Per-cell medians over seeds for every numeric metric column; a cell's
     rows must share their config up to seed and out_dir."""
-    import numpy as np
-
     rows = read_rows(csv_path)
     cells = {}
     for row in rows:

@@ -303,12 +303,11 @@ def erf(x):
         y *= s
         y /= _polevl(z, _ERF_U, den)
         big = np.flatnonzero(z == 1.0)  # the clip leaves z == 1 exactly where |v| >= 1
-        if big.size:
-            w = v[big].astype(np.float64)
-            a = np.minimum(np.abs(w), _ERFC_CLAMP)
-            erfc = np.exp(-a * a) * _polevl(a, _ERFC_P, np.empty_like(a))
-            erfc /= _polevl(a, _ERFC_Q, np.empty_like(a))
-            y[big] = np.copysign(1.0 - erfc, w)
+        w = v[big].astype(np.float64)
+        a = np.minimum(np.abs(w), _ERFC_CLAMP)
+        erfc = np.exp(-a * a) * _polevl(a, _ERFC_P, np.empty_like(a))
+        erfc /= _polevl(a, _ERFC_Q, np.empty_like(a))
+        y[big] = np.copysign(1.0 - erfc, w)
         dst[i:i + v.size] = y
     return out
 
@@ -413,14 +412,13 @@ def layer_norm(x, gamma, beta):
         reduce_axes = tuple(range(g.ndim - 1))
         _accum(gamma, (g * xhat).sum(axis=reduce_axes))
         _accum(beta, g.sum(axis=reduce_axes))
-        if x.requires_grad:
-            dxhat = g * gamma.data
-            dx = inv * (
-                dxhat
-                - dxhat.mean(axis=-1, keepdims=True)
-                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-            )
-            _accum(x, dx)
+        dxhat = g * gamma.data
+        dx = inv * (
+            dxhat
+            - dxhat.mean(axis=-1, keepdims=True)
+            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+        )
+        _accum(x, dx)
 
     return _node(gamma.data * xhat + beta.data, backward_fn, x, gamma, beta)
 
@@ -657,8 +655,7 @@ def conv2d(x, w, b, stride=1, padding=0, relu=False):
         if relu:
             g = g * (y > 0)
         _accum(b, g.sum(axis=(0, 2, 3)))
-        if w.requires_grad:
-            _accum(w, _conv_dw(_folds(x.data, geom, stride), amax, g, geom, w.shape, stride))
+        _accum(w, _conv_dw(_folds(x.data, geom, stride), amax, g, geom, w.shape, stride))
         if x.requires_grad:
             _accum(x, _conv_dx(g, wt, geom, x.shape, stride))
 
@@ -699,8 +696,7 @@ def conv_transpose2d(x, w, b, stride=2, padding=1):
         _accum(b, g.sum(axis=(0, 2, 3)))
         gx, amax = _conv_fwd(_folds(g, geom, stride), wt, geom, bsz)
         _accum(x, gx)
-        if w.requires_grad:
-            _accum(w, _conv_dw(_folds(g, geom, stride), amax, x.data, geom, w.shape, stride))
+        _accum(w, _conv_dw(_folds(g, geom, stride), amax, x.data, geom, w.shape, stride))
 
     return _node(y, backward_fn, x, w, b)
 
@@ -747,20 +743,18 @@ def bilinear_sample(fmap, coords):
     bot = v10 + wxe * (v11 - v10)
 
     def backward_fn(g):
-        if fmap.requires_grad:
-            gm = np.zeros(fmap.shape, fmap.dtype)
-            grows = gm.reshape(bsz, c, h * w).transpose(0, 2, 1)
-            i00, i01, i10, i11 = corners
-            np.add.at(grows, i00, g * (1 - wxe) * (1 - wye))
-            np.add.at(grows, i01, g * wxe * (1 - wye))
-            np.add.at(grows, i10, g * (1 - wxe) * wye)
-            np.add.at(grows, i11, g * wxe * wye)
-            _accum(fmap, gm)
-        if coords.requires_grad:
-            dvdx = (1 - wye) * (v01 - v00) + wye * (v11 - v10)
-            dvdy = (1 - wxe) * (v10 - v00) + wxe * (v11 - v01)
-            gx = (g * dvdx).sum(axis=-1) * in_x
-            gy = (g * dvdy).sum(axis=-1) * in_y
-            _accum(coords, np.stack([gx, gy], axis=-1).astype(coords.dtype))
+        gm = np.zeros(fmap.shape, fmap.dtype)
+        grows = gm.reshape(bsz, c, h * w).transpose(0, 2, 1)
+        i00, i01, i10, i11 = corners
+        np.add.at(grows, i00, g * (1 - wxe) * (1 - wye))
+        np.add.at(grows, i01, g * wxe * (1 - wye))
+        np.add.at(grows, i10, g * (1 - wxe) * wye)
+        np.add.at(grows, i11, g * wxe * wye)
+        _accum(fmap, gm)
+        dvdx = (1 - wye) * (v01 - v00) + wye * (v11 - v10)
+        dvdy = (1 - wxe) * (v10 - v00) + wxe * (v11 - v01)
+        gx = (g * dvdx).sum(axis=-1) * in_x
+        gy = (g * dvdy).sum(axis=-1) * in_y
+        _accum(coords, np.stack([gx, gy], axis=-1).astype(coords.dtype))
 
     return _node(top + wye * (bot - top), backward_fn, fmap, coords)

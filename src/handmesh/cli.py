@@ -8,6 +8,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from . import dataio
 from .ablate import run_ablation, summarize
@@ -60,8 +61,6 @@ def _load_config(path, **overrides):
     cfg = ExperimentConfig.load(path) if path else ExperimentConfig()
     fields = {k: v for k, v in overrides.items() if v is not None}
     if fields:
-        from dataclasses import replace
-
         cfg = replace(cfg, **fields)
     return cfg
 

@@ -79,7 +79,7 @@ def render_batch(assets, seed, indices):
     samples = [generate_sample(assets, sample_seed(seed, i), out=row)
                for i, row in zip(indices, inputs)]
     return {"input": inputs, **{name: np.array([getattr(s, name) for s in samples], np.float32)
-                                for name in ("V_3d", "J_3d", "J_2d", "camera")}}
+                                for name in ("V_3d", "J_2d", "camera")}}
 
 
 class Dataset:

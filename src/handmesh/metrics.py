@@ -61,11 +61,6 @@ def mean_euclidean(P, G):
     return float(np.linalg.norm(P - G, axis=-1).mean())
 
 
-def pa_metric(P, G):
-    _, aligned = procrustes_align(P, G)
-    return mean_euclidean(aligned, G)
-
-
 def _nn_distances(aligned, G):
     """Nearest-neighbor distances from each aligned point to G, and from each G point back.
 
@@ -86,13 +81,6 @@ def _f_at(distances, tau_mm):
     return 2.0 * precision * recall / (precision + recall)
 
 
-def f_score(P, G, tau_mm):
-    """F-score at threshold tau_mm over nearest-neighbor distances in both
-    directions, computed after Procrustes alignment."""
-    _, aligned = procrustes_align(P, G)
-    return _f_at(_nn_distances(aligned, G), tau_mm)
-
-
 def compute_report(pred_vertices, gt_vertices, pred_joints, gt_joints):
     """All six metrics for one sample, keyed by METRIC_COLUMNS; F-scores
     are over mesh vertices.
@@ -104,7 +92,7 @@ def compute_report(pred_vertices, gt_vertices, pred_joints, gt_joints):
     values = (
         mean_euclidean(pred_joints, gt_joints),
         mean_euclidean(pred_vertices, gt_vertices),
-        pa_metric(pred_joints, gt_joints),
+        mean_euclidean(procrustes_align(pred_joints, gt_joints)[1], gt_joints),
         mean_euclidean(aligned, gt_vertices),
         _f_at(distances, 5.0),
         _f_at(distances, 15.0),

@@ -6,7 +6,7 @@ from .autograd import Tensor
 from .nn import Module
 from .regressor import MeshRegressor
 from .rng import substream
-from .tokens import TokenGenerator, expected_tokens
+from .tokens import BACKBONE_WIDTHS, TokenGenerator, expected_tokens
 
 
 @dataclass
@@ -19,8 +19,7 @@ class HandMeshModel(Module):
     def __init__(self, sampler_cfg, decoder_cfg, seed):
         rng = substream(seed, "model-init")
         self.tokens = TokenGenerator(sampler_cfg, rng)
-        self.regressor = MeshRegressor(decoder_cfg, expected_tokens(sampler_cfg),
-                                       self.tokens.backbone.out_channels, rng)
+        self.regressor = MeshRegressor(decoder_cfg, expected_tokens(sampler_cfg), BACKBONE_WIDTHS[-1], rng)
 
     def __call__(self, image):
         tokens, keypoints_2d = self.tokens(image)

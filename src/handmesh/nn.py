@@ -104,7 +104,7 @@ class Conv2d(Module):
 class ConvTranspose2d(Module):
     def __init__(self, cin, cout, k, rng, stride=2, padding=1):
         fan_eff = cin * (k // stride) ** 2  # taps actually reaching one output pixel
-        self.weight = Tensor(_uniform_init(rng, (cin, cout, k, k), max(fan_eff, 1), gain=3.0), requires_grad=True)
+        self.weight = Tensor(_uniform_init(rng, (cin, cout, k, k), fan_eff, gain=3.0), requires_grad=True)
         self.bias = Tensor(np.zeros(cout, dtype=np.float32), requires_grad=True)
         self.stride = stride
         self.padding = padding

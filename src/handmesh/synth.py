@@ -5,8 +5,8 @@ exactly 778 vertices; the skeleton is a wrist plus four joints per finger
 (MCP, PIP, DIP, TIP). Skin weights come from inverse distance to the two
 nearest joint influence segments; segments span bone midpoints around each
 joint so that the regression matrix maps vertices back onto joints. Every
-sample's ground truth is exactly self-consistent: J_3d is defined as
-J @ V_3d and J_2d as project(J_3d).
+sample's ground truth is exactly self-consistent: J_2d is defined as
+project(J @ V_3d).
 
 All 3D units are millimeters; images are 224x224 pixels.
 """
@@ -70,7 +70,6 @@ class Skeleton:
 class HandSample:
     input: np.ndarray  # INPUT_SHAPE float32, rendered in float64
     V_3d: np.ndarray  # (778, 3) mm, root-relative
-    J_3d: np.ndarray  # (21, 3) mm, root-relative
     J_2d: np.ndarray  # (21, 2) px
     camera: np.ndarray  # (3,) scale px/mm, tx px, ty px
 
@@ -133,8 +132,7 @@ def _build_mesh():
 
 def _segment_distance(points, a, b):
     ab = b - a
-    denom = float(ab @ ab)
-    t = np.clip((points - a) @ ab / max(denom, 1e-12), 0.0, 1.0)
+    t = np.clip((points - a) @ ab / float(ab @ ab), 0.0, 1.0)
     proj = a + t[:, None] * ab
     return np.linalg.norm(points - proj, axis=1)
 
@@ -192,8 +190,7 @@ def build_assets():
 def _rotvec_to_matrix(rv):
     """Rodrigues formula for a batch of rotation vectors (N, 3)."""
     theta = np.linalg.norm(rv, axis=-1, keepdims=True)
-    small = theta[..., 0] < 1e-12
-    axis = np.where(small[..., None], 0.0, rv / np.where(theta == 0, 1.0, theta))
+    axis = rv / np.where(theta == 0, 1.0, theta)
     c = np.cos(theta)[..., None]
     s = np.sin(theta)[..., None]
     n = rv.shape[0]
@@ -263,7 +260,7 @@ def fit_camera(V, rng):
     with a margin, with bounded random zoom and shift."""
     xy = V[:, :2]
     lo, hi = xy.min(axis=0), xy.max(axis=0)
-    span = float(max(hi[0] - lo[0], hi[1] - lo[1], 1e-6))
+    span = float(max(hi[0] - lo[0], hi[1] - lo[1]))
     s = (IMAGE_SIZE - 2 * 20.0) / span * rng.uniform(0.75, 1.0)
     center = 0.5 * (lo + hi)
     t = IMAGE_SIZE / 2.0 - s * center
@@ -321,28 +318,26 @@ def render_input(J_2d, V_2d, out):
     gy = np.exp(-0.5 * ((grid - J_2d[:, 1:2]) / HEATMAP_SIGMA) ** 2)
     np.multiply(gy[:, :, None], gx[:, None, :], out=out[:NUM_JOINTS])
     out[NUM_JOINTS] = 0.0
-    if len(V_2d):
-        ix = np.clip(V_2d[:, 0].round().astype(int), 0, IMAGE_SIZE - 1)
-        iy = np.clip(V_2d[:, 1].round().astype(int), 0, IMAGE_SIZE - 1)
-        y0, y1 = max(iy.min() - _BLUR_REACH, 0), min(iy.max() + _BLUR_REACH + 1, IMAGE_SIZE)
-        x0, x1 = max(ix.min() - _BLUR_REACH, 0), min(ix.max() + _BLUR_REACH + 1, IMAGE_SIZE)
-        counts = np.zeros((y1 - y0, x1 - x0))
-        np.add.at(counts, (iy - y0, ix - x0), 1.0)
-        blur = gaussian_blur(counts)
-        np.divide(blur, blur.max(), out=out[NUM_JOINTS, y0:y1, x0:x1])
+    ix = np.clip(V_2d[:, 0].round().astype(int), 0, IMAGE_SIZE - 1)
+    iy = np.clip(V_2d[:, 1].round().astype(int), 0, IMAGE_SIZE - 1)
+    y0, y1 = max(iy.min() - _BLUR_REACH, 0), min(iy.max() + _BLUR_REACH + 1, IMAGE_SIZE)
+    x0, x1 = max(ix.min() - _BLUR_REACH, 0), min(ix.max() + _BLUR_REACH + 1, IMAGE_SIZE)
+    counts = np.zeros((y1 - y0, x1 - x0))
+    np.add.at(counts, (iy - y0, ix - x0), 1.0)
+    blur = gaussian_blur(counts)
+    np.divide(blur, blur.max(), out=out[NUM_JOINTS, y0:y1, x0:x1])
     return out
 
 
 def generate_sample(assets, seed, out=None):
-    """One fully self-consistent sample: J_3d := J @ V_3d, J_2d := project(J_3d).
+    """One fully self-consistent sample: J_2d := project(J @ V_3d).
     The input is rendered into `out` if given, else into a new float32 array."""
     if out is None:
         out = np.empty(INPUT_SHAPE, dtype=np.float32)
     pose = sample_pose(assets.skeleton, substream(seed, "pose"))
     V = skin(assets, pose)
-    J3 = assets.J @ V
     camera = fit_camera(V, substream(seed, "camera"))
     V2 = project(V, camera)
-    J2 = project(J3, camera)
+    J2 = project(assets.J @ V, camera)
     inp = render_input(J2, V2, out=out)
-    return HandSample(input=inp, V_3d=V, J_3d=J3, J_2d=J2, camera=camera)
+    return HandSample(input=inp, V_3d=V, J_2d=J2, camera=camera)

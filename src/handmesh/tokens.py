@@ -120,7 +120,6 @@ class ToyBackbone(Module):
             _add_smoothing_passthrough(stage)
             self.stages.append(stage)
             prev = w
-        self.out_channels = prev
 
     def __call__(self, x):
         for stage in self.stages:
@@ -194,13 +193,13 @@ class TokenGenerator(Module):
     def __init__(self, cfg, rng):
         self.cfg = cfg
         self.backbone = ToyBackbone(rng)
-        self.upsampler = FeatureUpsampler(cfg.upsample_scheme, self.backbone.out_channels, rng)
+        self.upsampler = FeatureUpsampler(cfg.upsample_scheme, BACKBONE_WIDTHS[-1], rng)
         # coordinate heads start at zero: uniform heatmaps keep the
         # soft-argmax mobile while supervision shapes them
-        self.kp_head = Conv2d(self.backbone.out_channels, NUM_JOINTS, 1, rng)
+        self.kp_head = Conv2d(BACKBONE_WIDTHS[-1], NUM_JOINTS, 1, rng)
         self.kp_head.weight.data[:] = 0.0
         if cfg.variant == "coarse_mesh":
-            self.coarse_head = Conv2d(self.backbone.out_channels, COARSE_TOKENS, 1, rng)
+            self.coarse_head = Conv2d(BACKBONE_WIDTHS[-1], COARSE_TOKENS, 1, rng)
             self.coarse_head.weight.data[:] = 0.0
 
     def __call__(self, image):

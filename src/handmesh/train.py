@@ -16,6 +16,7 @@ import numpy as np
 
 from . import dataio
 from .autograd import Tape, Tensor
+from .config import ExperimentConfig
 from .losses import total_loss
 from .model import HandMeshModel
 from .optim import AdamW, lr_at_step
@@ -112,8 +113,6 @@ def train(cfg):
 
 def load_trained_model(run_dir):
     """Rebuild the model from a run directory's config snapshot + checkpoint."""
-    from .config import ExperimentConfig
-
     cfg = ExperimentConfig.load(os.path.join(run_dir, "config.json"))
     model = build_model(cfg)
     state, _ = dataio.read_checkpoint(os.path.join(run_dir, "checkpoint.bin"))

@@ -96,7 +96,5 @@ def render_input_loop(J_2d, V_2d, size=IMAGE_SIZE, sigma=HEATMAP_SIGMA):
     iy = np.clip(V_2d[:, 1].round().astype(int), 0, size - 1)
     np.add.at(counts, (iy, ix), 1.0)
     blur = gaussian_filter(counts, sigma=3.0)
-    peak = blur.max()
-    if peak > 0:
-        out[NUM_JOINTS] = blur / peak
+    out[NUM_JOINTS] = blur / blur.max()
     return out

@@ -762,6 +762,17 @@ class TestCliPipeline:
         assert json.loads(captured.out) == summarize(csv_path)
         assert len(captured.err.splitlines()) == 3
 
+    @pytest.mark.parametrize("grid", [[IDENTITY_GRID], "x", None, 3])
+    def test_ablate_refuses_a_grid_that_is_not_an_object(self, small_dataset, tmp_path, capsys, grid):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid))
+        out = tmp_path / "abl"
+        assert main(["ablate", "--grid", str(path), "--dataset", small_dataset,
+                     "--out", str(out), "--steps", "1"]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ValueError: grid must be a JSON object")
+        assert not (out / "heldout").exists() and not (out / "ablation.csv").exists()
+
     def test_bench_out_holds_the_printed_report(self, tmp_path, capsys):
         assert main(["bench", "--iters", "10", "--out", str(tmp_path / "b")]) == 0
         printed = json.loads(capsys.readouterr().out)

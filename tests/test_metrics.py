@@ -137,8 +137,13 @@ class TestProcrustesAlign:
 
 
 # ---------------------------------------------------------------------------
-# mean_euclidean / pa_metric
+# mean_euclidean / PA-MPJPE
 # ---------------------------------------------------------------------------
+
+def pa_mpjpe(P, G):
+    """compute_report's PA-MPJPE of joints P against G."""
+    return mx.compute_report(P, G, P, G)["pa_mpjpe_mm"]
+
 
 class TestMeanEuclidean:
     def test_identical_is_zero(self):
@@ -167,52 +172,57 @@ class TestPaMetric:
     def test_zero_for_similarity_transforms_of_gt(self):
         rng = np.random.default_rng(10)
         G = rng.normal(0, 100, (21, 3))
-        assert mx.pa_metric(G, G) < 1e-9
+        assert pa_mpjpe(G, G) < 1e-9
         s, R, t = random_similarity(rng)
-        assert mx.pa_metric(s * G @ R.T + t, G) < 1e-9
+        assert pa_mpjpe(s * G @ R.T + t, G) < 1e-9
 
     def test_never_exceeds_unaligned(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
             P = rng.normal(0, 50, (21, 3))
             G = rng.normal(0, 50, (21, 3))
-            assert mx.pa_metric(P, G) <= mx.mean_euclidean(P, G) + 1e-9
+            assert pa_mpjpe(P, G) <= mx.mean_euclidean(P, G) + 1e-9
 
     def test_invariance_under_similarity_transform(self):
         rng = np.random.default_rng(12)
         P = rng.normal(0, 50, (21, 3))
         G = rng.normal(0, 50, (21, 3))
-        base = mx.pa_metric(P, G)
+        base = pa_mpjpe(P, G)
         for _ in range(25):
             s, R, t = random_similarity(rng)
-            assert abs(mx.pa_metric(s * P @ R.T + t, G) - base) < 1e-6
+            assert abs(pa_mpjpe(s * P @ R.T + t, G) - base) < 1e-6
 
     def test_alignment_beats_random_transforms(self):
         rng = np.random.default_rng(13)
         P = rng.normal(0, 50, (21, 3))
         G = rng.normal(0, 50, (21, 3))
-        pa = mx.pa_metric(P, G)
+        pa = pa_mpjpe(P, G)
         for _ in range(100):
             s, R, t = random_similarity(rng)
             assert pa <= mx.mean_euclidean(s * P @ R.T + t, G) + 1e-9
 
 
 # ---------------------------------------------------------------------------
-# f_score
+# F-scores
 # ---------------------------------------------------------------------------
+
+def f_at(P, G, tau):
+    """compute_report's F-score of cloud P against G at tau (5 or 15 mm)."""
+    return mx.compute_report(P, G, P, G)[{5.0: "f_at_05", 15.0: "f_at_15"}[tau]]
+
 
 class TestFScore:
     def test_identical_clouds_scores_one(self):
         P = np.random.default_rng(14).normal(0, 100, (30, 3))
-        assert mx.f_score(P, P, 5.0) == 1.0
-        assert mx.f_score(P, P, 15.0) == 1.0
+        assert f_at(P, P, 5.0) == 1.0
+        assert f_at(P, P, 15.0) == 1.0
 
     def test_dissimilar_spread_clouds_score_zero(self):
         rng = np.random.default_rng(15)
         P = rng.normal(0, 300, (20, 3))
         G = rng.normal(0, 300, (20, 3))
-        assert mx.f_score(P, G, 5.0) == 0.0
-        assert mx.f_score(P, G, 15.0) == 0.0
+        assert f_at(P, G, 5.0) == 0.0
+        assert f_at(P, G, 15.0) == 0.0
 
     def test_exact_half_within_gives_half(self):
         # move half the points by ~60mm displacements projected to keep the
@@ -239,7 +249,7 @@ class TestFScore:
         assert norms.min() > 8 and norms.max() < 500
         P = G.copy()
         P[:m] += delta
-        assert mx.f_score(P, G, 5.0) == 0.5
+        assert f_at(P, G, 5.0) == 0.5
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(17)
@@ -248,14 +258,14 @@ class TestFScore:
             G = P + rng.normal(0, 8, (25, 3))
             _, aligned = mx.procrustes_align(P, G)
             for tau in (5.0, 15.0):
-                assert abs(mx.f_score(P, G, tau) - f_score_brute_force(aligned, G, tau)) < 1e-12
+                assert abs(f_at(P, G, tau) - f_score_brute_force(aligned, G, tau)) < 1e-12
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(18)
         for _ in range(10):
             P = rng.normal(0, 30, (25, 3))
             G = P + rng.normal(0, 10, (25, 3))
-            assert mx.f_score(P, G, 15.0) >= mx.f_score(P, G, 5.0)
+            assert f_at(P, G, 15.0) >= f_at(P, G, 5.0)
 
 
 # ---------------------------------------------------------------------------
@@ -287,14 +297,18 @@ class TestReport:
         assert rep["f_at_05"] == 1.0 and rep["f_at_15"] == 1.0
 
     def test_matches_per_metric_functions(self):
-        # the shared vertex alignment must give exactly what each metric
-        # function computes on its own
+        # each aligned metric aligns its own point set: joints for PA-MPJPE,
+        # vertices for PA-MPVPE and both F-scores
         rng = np.random.default_rng(22)
         for _ in range(5):
             gt_v = rng.normal(0, 40, (80, 3))
             gt_j = rng.normal(0, 40, (21, 3))
             pred_v = gt_v + rng.normal(0, 6, gt_v.shape)
-            rep = mx.compute_report(pred_v, gt_v, gt_j + rng.normal(0, 6, gt_j.shape), gt_j)
-            assert rep["pa_mpvpe_mm"] == mx.pa_metric(pred_v, gt_v)
-            assert rep["f_at_05"] == mx.f_score(pred_v, gt_v, 5.0)
-            assert rep["f_at_15"] == mx.f_score(pred_v, gt_v, 15.0)
+            pred_j = gt_j + rng.normal(0, 6, gt_j.shape)
+            rep = mx.compute_report(pred_v, gt_v, pred_j, gt_j)
+            _, aligned_j = mx.procrustes_align(pred_j, gt_j)
+            _, aligned_v = mx.procrustes_align(pred_v, gt_v)
+            assert rep["pa_mpjpe_mm"] == mx.mean_euclidean(aligned_j, gt_j)
+            assert rep["pa_mpvpe_mm"] == mx.mean_euclidean(aligned_v, gt_v)
+            assert rep["f_at_05"] == f_score_brute_force(aligned_v, gt_v, 5.0)
+            assert rep["f_at_15"] == f_score_brute_force(aligned_v, gt_v, 15.0)

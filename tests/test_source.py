@@ -1,6 +1,7 @@
 """Source lint: src states its run-time checks as raises, never as asserts,
 autograd states its tape-recording rule in one function, train() stops a
-run through one handler, and only the F-scores load scipy."""
+run through one handler, only the F-scores load scipy, and every other import
+is at module level."""
 
 import ast
 import os
@@ -40,6 +41,19 @@ def test_src_asserts_nothing_at_run_time():
     for name in names:
         stray += [f"{name}:{node.lineno} in {func}" for func, node in _enclosed(_parse(name), ast.Assert)]
     assert stray == []
+
+
+def test_src_imports_at_module_level():
+    # a function-level import hides a module's dependencies; the one kept is
+    # scipy.spatial, which only the F-scores load (see the next test)
+    names = sorted(n for n in os.listdir(SRC) if n.endswith(".py"))
+    stray = []
+    for name in names:
+        tree = _parse(name)
+        stray += [f"{name} in {func}: {ast.unparse(node)}"
+                  for func, node in _enclosed(tree, (ast.Import, ast.ImportFrom))
+                  if node not in tree.body]
+    assert stray == ["metrics.py in _nn_distances: from scipy.spatial import cKDTree"]
 
 
 def _builds_node(call):

@@ -272,13 +272,6 @@ class TestRenderInput:
         synth.render_input(J_2d, V_2d, out=out)
         assert out.tobytes() == want.astype("<f4").tobytes()
 
-    def test_empty_silhouette_overwrites_out(self):
-        J_2d = np.full((synth.NUM_JOINTS, 2), 100.0)
-        V_2d = np.zeros((0, 2))
-        out = np.full((synth.NUM_JOINTS + 1, synth.IMAGE_SIZE, synth.IMAGE_SIZE), np.nan)
-        synth.render_input(J_2d, V_2d, out=out)
-        assert out.tobytes() == render_input_loop(J_2d, V_2d).tobytes()
-
 
 class TestGaussianBlur:
     """synth.gaussian_blur, the silhouette blur, against scipy.ndimage."""
@@ -319,8 +312,7 @@ class TestGenerateSample:
     def test_consistency_triangle(self, assets):
         for seed in (0, 7, 12345):
             s = synth.generate_sample(assets, seed)
-            assert np.abs(assets.J @ s.V_3d - s.J_3d).max() < 1e-6
-            assert np.abs(synth.project(s.J_3d, s.camera) - s.J_2d).max() < 1e-6
+            assert np.abs(synth.project(assets.J @ s.V_3d, s.camera) - s.J_2d).max() < 1e-6
 
     def test_joints_inside_image(self, assets):
         for seed in range(20):
@@ -330,7 +322,7 @@ class TestGenerateSample:
     def test_bit_deterministic(self, assets):
         a = synth.generate_sample(assets, 31415)
         b = synth.generate_sample(assets, 31415)
-        for f in ("input", "V_3d", "J_3d", "J_2d", "camera"):
+        for f in ("input", "V_3d", "J_2d", "camera"):
             assert np.array_equal(getattr(a, f), getattr(b, f))
 
     def test_distinct_seeds_differ(self, assets):

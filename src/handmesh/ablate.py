@@ -75,9 +75,9 @@ def run_ablation(base_cfg, grid, out_csv, seeds=(0, 1, 2)):
     training set's seed stream, which train() never draws, read through a
     manifest written to `heldout/` beside out_csv.
 
-    A cell that out_csv already holds under another config is refused
-    before any training, since its runs would overwrite those rows' run
-    directories. Skipped cells and per-run progress go to stderr.
+    Before any training it refuses an out_csv whose rows this run would orphan:
+    a cell's rows under another config (it rewrites their run directories), or
+    rows scored on another held-out manifest. Skips and progress go to stderr.
     """
     if len(set(seeds)) < 3:
         raise ValueError(f"need at least 3 distinct shared seeds, got {tuple(seeds)}")
@@ -108,9 +108,15 @@ def run_ablation(base_cfg, grid, out_csv, seeds=(0, 1, 2)):
     count = manifest["count"]
     root = os.path.dirname(os.path.abspath(out_csv))
     heldout_dir = os.path.join(root, "heldout")
-    dataio.generate_dataset(heldout_dir, count + EVAL_COUNT, manifest["seed"])
+    want = {"count": count + EVAL_COUNT, "seed": manifest["seed"]}
+    if held:  # those rows were scored on heldout/'s samples, which this run must not change
+        path = os.path.join(heldout_dir, "manifest.json")
+        kept = dataio.read_manifest(heldout_dir) if os.path.exists(path) else {}
+        if {k: kept.get(k) for k in want} != want:
+            raise ValueError(f"{out_csv} holds rows scored on {path} ({kept or 'missing'}), not on "
+                             f"the held-out manifest this run would write ({want})")
+    dataio.generate_dataset(heldout_dir, **want)
     dataset = dataio.Dataset(heldout_dir)
-    eval_indices = range(count, count + EVAL_COUNT)
     with open(out_csv, "a", newline="") as fh:
         writer = csv.writer(fh)
         if new_file:
@@ -121,7 +127,7 @@ def run_ablation(base_cfg, grid, out_csv, seeds=(0, 1, 2)):
                 cfg = replace(cell_cfg, seed=seed, out_dir=run_dir)
                 steps_per_sec = train(cfg).steps_per_sec
                 model, _ = load_trained_model(run_dir)
-                report, _ = evaluate(model, dataset, out_dir=run_dir, indices=eval_indices)
+                report, _ = evaluate(model, dataset, out_dir=run_dir, indices=range(count, want["count"]))
                 params_nb = model.param_count_split()[1]
                 writer.writerow([cid, seed, *(repr(report[m]) for m in METRIC_COLUMNS),
                                  params_nb, f"{steps_per_sec:.4f}", cfg.total_steps,

@@ -31,7 +31,8 @@ _ACTIVE_TAPE = None
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
-# fold elements _folds flushes and reduces per step (256 KiB of float32 scratch)
+# fold elements per block of whole channels that _folds flushes and reduces in
+# one pass (256 KiB of float32 scratch); a channel wider than this is one block
 _FOLD_BLOCK = 1 << 16
 _LN_EPS = 1e-5  # layer_norm's variance floor
 
@@ -268,7 +269,7 @@ def matmul(a, b, bias=None):
 def cast(x, dtype):
     """Dtype conversion; the gradient is cast back to the input's dtype."""
     def backward_fn(g):
-        _accum(x, g.astype(x.dtype))
+        _accum(x, g)
 
     return _node(x.data.astype(dtype), backward_fn, x)
 
@@ -517,9 +518,9 @@ def _folds(x, geom, stride):
     Every sample is copied into one buffer, zeroed once per call, whose
     padding slots are never written, so each fold is valid only until the
     next is drawn; a caller that needs the folds again draws them again.
-    The copy runs one block of channels at a time, and each block's
-    magnitudes are reduced to the max while it is still in cache, through
-    scratch of at most _FOLD_BLOCK elements. The copy reads float32
+    The copy runs one block of whole channels at a time, at most _FOLD_BLOCK
+    elements or one wider channel, and flushes each block and reduces it to
+    its max in one pass while it is still in cache. The copy reads float32
     subnormals as zero (denormals-are-zero): values with |v| below the
     dtype's smallest normal are zeroed, so NaN and inf are kept. About
     14% of the nonzero values of rendered inputs are float32 subnormals,
@@ -532,25 +533,20 @@ def _folds(x, geom, stride):
     tiny = np.finfo(x.dtype).tiny
     per_c = stride * stride * hq * wq
     cb = min(c, max(1, _FOLD_BLOCK // per_c))  # channels per block
-    span = min(_FOLD_BLOCK, cb * per_c)
     buf = np.zeros((c, stride, stride, hq, wq), x.dtype)
-    flat = buf.reshape(-1)
-    mag = np.empty(span, x.dtype)
-    small = np.empty(span, bool)
+    mag = np.empty((cb, *buf.shape[1:]), x.dtype)
+    small = np.empty(mag.shape, bool)
     for xb in x:
         amax = x.dtype.type(0)
         for c0 in range(0, c, cb):
             block = buf[c0 : c0 + cb]
             for i, j, fr, fc, xr, xc in phases:
                 block[:, i, j, fr, fc] = xb[c0 : c0 + cb, xr, xc]
-            end = (c0 + len(block)) * per_c
-            for lo in range(c0 * per_c, end, span):
-                v = flat[lo : min(lo + span, end)]
-                m = mag[: v.size]
-                np.abs(v, out=m)
-                np.less(m, tiny, out=small[: v.size])
-                np.copyto(v, 0, where=small[: v.size])
-                amax = np.maximum(amax, m.max())
+            m, z = mag[: len(block)], small[: len(block)]
+            np.abs(block, out=m)
+            np.less(m, tiny, out=z)
+            np.copyto(block, 0, where=z)
+            amax = np.maximum(amax, m.max())
         yield buf.reshape(c * stride * stride, hq * wq), amax
 
 
@@ -613,12 +609,11 @@ def _conv_dw(folds, amax, g, geom, w_shape, stride):
     sum over samples accumulates in the scaled range and is unscaled once.
     """
     _, _, _, wq, offs, n, _ = geom
-    dtype = np.result_type(g, amax.dtype)
-    one = dtype.type(1)
-    k = _pow2(amax, max(g.max(), -g.min()), len(g) * n, dtype)
+    one = g.dtype.type(1)
+    k = _pow2(amax, max(g.max(), -g.min()), len(g) * n, g.dtype)
     # (Cf, n) @ (n, Cout) ran ~25% faster than (Cout, n) @ (n, Cf) on stage 0's shapes
-    dwt = np.zeros((len(offs), w_shape[1] * stride * stride, g.shape[1]), dtype)
-    tmp = np.empty(dwt.shape[1:], dtype)
+    dwt = np.zeros((len(offs), w_shape[1] * stride * stride, g.shape[1]), g.dtype)
+    tmp = np.empty(dwt.shape[1:], g.dtype)
     for gb, (xf, _) in zip(g, folds):
         gqt = _pad_cols(gb, wq, np.ldexp(one, k))[:, :n].T
         for off, dw_t in zip(offs, dwt):
@@ -645,7 +640,7 @@ def conv2d(x, w, b, stride=1, padding=0, relu=False):
     if stride < 1:
         raise ValueError(f"conv2d: stride must be >= 1, got {stride}")
     geom = _geometry(*x.shape[2:], *w.shape[2:], stride, padding)
-    wt = _fold_weight(w.data, stride).astype(np.result_type(x.data, w.data), copy=False)
+    wt = _fold_weight(w.data, stride)
     y, amax = _conv_fwd(_folds(x.data, geom, stride), wt, geom, x.shape[0])
     y += b.data[:, None, None]
     if relu:
@@ -688,7 +683,7 @@ def conv_transpose2d(x, w, b, stride=2, padding=1):
     bsz, _, h, wd = x.shape
     out_shape = (bsz, cout, h * stride, wd * stride)
     geom = _geometry(*out_shape[2:], kh, kw, stride, padding)
-    wt = _fold_weight(w.data, stride).astype(np.result_type(x.data, w.data), copy=False)
+    wt = _fold_weight(w.data, stride)
     y = _conv_dx(x.data, wt, geom, out_shape, stride)
     y += b.data[:, None, None]
 
@@ -755,6 +750,6 @@ def bilinear_sample(fmap, coords):
         dvdy = (1 - wxe) * (v10 - v00) + wxe * (v11 - v01)
         gx = (g * dvdx).sum(axis=-1) * in_x
         gy = (g * dvdy).sum(axis=-1) * in_y
-        _accum(coords, np.stack([gx, gy], axis=-1).astype(coords.dtype))
+        _accum(coords, np.stack([gx, gy], axis=-1))
 
     return _node(top + wye * (bot - top), backward_fn, fmap, coords)

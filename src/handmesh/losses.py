@@ -17,7 +17,6 @@ from .autograd import Tensor
 
 def l1_mean(pred, gt):
     """Mean absolute difference of a Tensor from an array: sum|pred-gt| / (M*D)."""
-    gt = np.asarray(gt)
     if pred.shape != gt.shape:
         raise ValueError(f"shape mismatch: pred {pred.shape} vs gt {gt.shape}")
     # a - b is a + (-b) bit for bit, values and gradients alike

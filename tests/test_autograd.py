@@ -502,6 +502,35 @@ class TestConv2d:
                 dw[:, :, u, v] = np.einsum("oij,cij->oc", r[0], xp[:, u : u + 256 : 2, v : v + 256 : 2])
         assert np.abs(wt.grad - dw).max() / np.abs(dw).max() < 1e-12
 
+    @pytest.mark.parametrize("sampler", [{}, {"variant": "coarse_mesh", "upsample_scheme": "single-4x"},
+                                         {"upsample_scheme": "4x-with-extra-convs"}],
+                             ids=["paper", "coarse_mesh-single-4x", "keypoint-4x-with-extra-convs"])
+    def test_model_folds_fit_one_block(self, sampler, tmp_path, monkeypatch):
+        # _folds flushes each block of whole channels in one pass, so its
+        # scratch stays one block only while no real fold channel is wider
+        # than _FOLD_BLOCK (stage 0's 4 * 113 * 113 is the widest)
+        from handmesh import dataio
+        from handmesh.config import ExperimentConfig
+        from handmesh.train import batch_loss, build_model
+
+        widths = []
+        folds = ag._folds
+
+        def recorded(x, geom, stride):
+            widths.append(stride * stride * geom[2] * geom[3])
+            return folds(x, geom, stride)
+
+        monkeypatch.setattr(ag, "_folds", recorded)
+        dataio.generate_dataset(tmp_path, 1, 0)
+        ds = dataio.Dataset(tmp_path)
+        cfg = ExperimentConfig.from_dict({"sampler": sampler})
+        with Tape() as tape:
+            bd = batch_loss(build_model(cfg), ds.batch([0]), ds.assets.J, cfg.loss_weights)
+            forward = len(widths)
+            tape.backward(bd.total_node)
+        assert 5 <= forward < len(widths)  # the backbone's five, then backward's refolds
+        assert max(widths) <= ag._FOLD_BLOCK
+
 
 class TestConv2dRelu:
     """conv2d(..., relu=True) is conv2d then ReLU, fused into one tape node."""

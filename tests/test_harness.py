@@ -553,6 +553,32 @@ class TestAblate:
         seed0 = tmp_path / "abl" / "runs" / cid / "seed0" / "config.json"
         assert json.load(open(seed0))["total_steps"] == 1
 
+    @pytest.mark.parametrize("change", ["regenerated", "removed"])
+    def test_rows_of_another_heldout_set_refused_before_training(self, tmp_path, monkeypatch, change):
+        # appended rows would sit under the same cell and seeds as rows
+        # scored on other held-out samples, whose run directories they rewrite
+        data = str(tmp_path / "data")
+        dataio.generate_dataset(data, 4, 7)
+        base = tiny_config(data, tmp_path / "unused", total_steps=1, batch_size=1)
+        csv_path = tmp_path / "abl" / "ablation.csv"
+        kept = tmp_path / "abl" / "heldout" / "manifest.json"
+        monkeypatch.setattr(ablate_module, "EVAL_COUNT", 1)
+        run_ablation(base, IDENTITY_GRID, str(csv_path))
+        rows, manifest = csv_path.read_bytes(), kept.read_bytes()
+        if change == "regenerated":
+            dataio.generate_dataset(data, 6, 7)
+        else:
+            kept.unlink()
+
+        def no_train(cfg):
+            raise AssertionError("trained before refusing the CSV")
+
+        monkeypatch.setattr(ablate_module, "train", no_train)
+        with pytest.raises(ValueError, match="held-out manifest"):
+            run_ablation(base, IDENTITY_GRID, str(csv_path))
+        assert csv_path.read_bytes() == rows
+        assert (kept.read_bytes() == manifest) if change == "regenerated" else not kept.exists()
+
     def test_too_few_seeds_rejected(self, small_dataset, tmp_path):
         base = tiny_config(small_dataset, tmp_path)
         with pytest.raises(ValueError):
